@@ -10,8 +10,8 @@
 //! heavy per-node tail makes `max` over 64 nodes land in the tail almost
 //! every iteration.
 //!
-//! Node simulations run concurrently on the deterministic work-stealing
-//! pool (`ksa_desim::pool`); each node is one single-threaded engine run
+//! Node simulations run concurrently on the deterministic trial pool
+//! (`ksa_desim::pool`); each node is one single-threaded engine run
 //! with a seed derived from the node index, so the whole experiment is
 //! bit-identical for every worker count, including the sequential
 //! (`threads == 1`) baseline.
@@ -226,7 +226,7 @@ pub(crate) fn merge_node_metrics(
     merged
 }
 
-/// Simulates every node on the work-stealing pool, returning per-node
+/// Simulates every node on the trial pool, returning per-node
 /// `(iteration durations, telemetry, engine events)` in node order.
 /// Node seeds derive from the node *index*, so scheduling cannot reach
 /// the simulated results.

@@ -41,7 +41,7 @@
 //! (e.g. a simulated kernel) that every process can inspect and mutate
 //! during its resume step. A single engine run is strictly single-threaded;
 //! callers parallelize across independent engine instances (trials, nodes)
-//! through the deterministic work-stealing [`pool`], which pins output
+//! through the deterministic trial [`pool`], which pins output
 //! order so parallel campaigns stay bit-identical to sequential ones.
 
 pub mod cpu;
@@ -70,7 +70,10 @@ pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use iodev::{DevId, DeviceModel};
 pub use lock::{LockId, LockKind, LockMode, WAIT_HIST_BUCKETS};
 pub use netdev::{NicModel, NicState};
-pub use pool::{default_jobs, parallel_indexed, resolve_jobs, run_tasks, TaskResult};
+pub use pool::{
+    default_jobs, parallel_by_cost, parallel_indexed, resolve_jobs, run_by_cost, run_tasks,
+    TaskResult,
+};
 pub use process::{Effect, Pid, Process, WakeReason};
 pub use time::{Ns, MS, SEC, US};
 pub use trace::{

@@ -1,4 +1,4 @@
-//! Deterministic work-stealing thread pool for trial-level parallelism.
+//! Deterministic thread pool for trial-level parallelism.
 //!
 //! A single [`Engine`](crate::Engine) run is strictly single-threaded —
 //! the determinism boundary of the whole system. What *is* parallel is
@@ -9,25 +9,35 @@
 //! provides that execution substrate to every harness in the workspace
 //! (varbench trials, tailbench sweep points, cluster nodes, the bench
 //! suite) without any external dependency: scoped `std::thread` workers
-//! over per-worker deques with LIFO-steal, the classic work-stealing
-//! shape.
+//! claiming tasks from one shared atomic cursor.
+//!
+//! ## Dispatch order
+//!
+//! The cursor walks the tasks sorted by a caller-supplied cost key,
+//! heaviest first, with ties in input order ([`run_by_cost`]);
+//! [`run_tasks`] is the all-zero-cost case, so it starts tasks in input
+//! order. A worker that finishes claims the next task in that order.
+//! Starting the longest trials first keeps one of them from starting
+//! last and running alone while the other workers sit idle. The order
+//! depends only on the costs, never on `jobs`.
 //!
 //! ## Guarantees
 //!
 //! * **Bit-identical to sequential.** Results are written to an
-//!   index-addressed slot per task; `run_tasks(jobs, tasks)` returns the
-//!   same vector for every `jobs`, including 1 (which runs inline on the
-//!   caller's thread with no pool at all).
+//!   index-addressed slot per task; `run_by_cost(jobs, costs, tasks)`
+//!   returns the same vector for every `jobs`, including 1 (which runs
+//!   inline on the caller's thread with no threads spawned).
 //! * **Panic isolation.** Every task runs under `catch_unwind`; a
 //!   poisoned task surfaces as `Err(payload)` in its own slot and the
 //!   worker moves on to the next task, so one bad trial never takes the
-//!   campaign (or its sibling worker's queue) down.
+//!   campaign down.
 //! * **No oversubscription of the scheduler's attention.** Worker count
 //!   defaults to `KSA_JOBS` or, failing that, the machine's available
 //!   parallelism, and is clamped to the task count.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Result of one pooled task: `Ok` on completion, `Err` with the panic
@@ -60,95 +70,68 @@ pub fn resolve_jobs(jobs: usize) -> usize {
     }
 }
 
-/// Work-stealing state shared by the workers of one `run_tasks` call.
-struct Shared<F, T> {
-    /// The tasks, taken (once) by whichever worker claims the index.
-    tasks: Vec<Mutex<Option<F>>>,
-    /// Per-worker index deques; worker `w` pops its own front and steals
-    /// from other workers' backs.
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    /// Index-addressed result slots — this is what pins output order.
-    results: Vec<Mutex<Option<TaskResult<T>>>>,
-}
-
-impl<F: FnOnce() -> T, T> Shared<F, T> {
-    /// Claims and runs task `i`, storing its (panic-isolated) result.
-    fn execute(&self, i: usize) {
-        let task = self.tasks[i]
-            .lock()
-            .expect("task slot poisoned")
-            .take()
-            .expect("task executed twice");
-        // No pool lock is held across the task body, so a panicking
-        // trial cannot poison the scheduling state.
-        let result = catch_unwind(AssertUnwindSafe(task));
-        *self.results[i].lock().expect("result slot poisoned") = Some(result);
-    }
-
-    /// Next task index for worker `w`: own queue first (front), then a
-    /// steal sweep over the other workers' queues (back).
-    fn next_index(&self, w: usize) -> Option<usize> {
-        if let Some(i) = self.queues[w].lock().expect("queue poisoned").pop_front() {
-            return Some(i);
-        }
-        let n = self.queues.len();
-        for off in 1..n {
-            let v = (w + off) % n;
-            if let Some(i) = self.queues[v].lock().expect("queue poisoned").pop_back() {
-                return Some(i);
-            }
-        }
-        None
-    }
-}
-
 /// Executes `tasks` on up to `jobs` workers (0 = auto) and returns their
 /// results **in input order**. Each task is panic-isolated; see the
-/// module docs for the full guarantees.
-///
-/// With `jobs == 1` (or a single task) everything runs inline on the
-/// calling thread — the sequential baseline the determinism property
-/// tests and the bench suite compare against.
+/// module docs for the full guarantees. Tasks start in input order:
+/// this is [`run_by_cost`] with every cost zero.
 pub fn run_tasks<F, T>(jobs: usize, tasks: Vec<F>) -> Vec<TaskResult<T>>
 where
     F: FnOnce() -> T + Send,
     T: Send,
 {
-    let n_tasks = tasks.len();
-    let workers = resolve_jobs(jobs).min(n_tasks).max(1);
-    if workers == 1 {
-        return tasks
-            .into_iter()
-            .map(|t| catch_unwind(AssertUnwindSafe(t)))
-            .collect();
-    }
+    run_by_cost(jobs, &vec![0; tasks.len()], tasks)
+}
 
-    let shared = Shared {
-        tasks: tasks.into_iter().map(|t| Mutex::new(Some(t))).collect(),
-        queues: (0..workers)
-            .map(|w| {
-                // Round-robin seeding keeps early tasks spread across
-                // workers; stealing rebalances whatever the seeding got
-                // wrong about task durations.
-                Mutex::new((w..n_tasks).step_by(workers).collect())
-            })
-            .collect(),
-        results: (0..n_tasks).map(|_| Mutex::new(None)).collect(),
+/// Executes `tasks` on up to `jobs` workers (0 = auto), starting them
+/// heaviest-first: task `i` weighs `costs[i]`, and equal costs start in
+/// input order. Results come back **in input order**, each
+/// panic-isolated, exactly as from [`run_tasks`].
+///
+/// Workers claim tasks from one shared atomic cursor over the cost
+/// order, so the start order is the same for every `jobs`. With
+/// `jobs == 1` (or a single task) the one worker is the calling thread
+/// — the sequential baseline the determinism property tests and the
+/// bench suite compare against.
+pub fn run_by_cost<F, T>(jobs: usize, costs: &[u64], tasks: Vec<F>) -> Vec<TaskResult<T>>
+where
+    F: FnOnce() -> T + Send,
+    T: Send,
+{
+    assert_eq!(costs.len(), tasks.len(), "one cost per task");
+    let n_tasks = tasks.len();
+    let order = dispatch_order(costs);
+
+    let tasks: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    // Index-addressed result slots: this is what pins output order.
+    let results: Vec<Mutex<Option<TaskResult<T>>>> =
+        (0..n_tasks).map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let task = tasks[i]
+                .lock()
+                .expect("task slot poisoned")
+                .take()
+                .expect("task claimed twice");
+            // No pool lock is held across the task body, so a panicking
+            // trial cannot poison the pool's state.
+            let result = catch_unwind(AssertUnwindSafe(task));
+            *results[i].lock().expect("result slot poisoned") = Some(result);
+        }
     };
 
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let shared = &shared;
-            s.spawn(move || {
-                while let Some(i) = shared.next_index(w) {
-                    shared.execute(i);
-                }
-            });
-        }
-    });
+    let workers = resolve_jobs(jobs).min(n_tasks).max(1);
+    if workers == 1 {
+        work();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(work);
+            }
+        });
+    }
 
-    shared
-        .results
+    results
         .into_iter()
         .map(|slot| {
             slot.into_inner()
@@ -158,37 +141,102 @@ where
         .collect()
 }
 
-/// Convenience wrapper: applies `f` to each item index (0..n) in
-/// parallel, unwrapping panics into a propagated panic on the caller's
-/// thread. For harnesses that want isolation instead, use [`run_tasks`]
-/// directly.
-pub fn parallel_indexed<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
+/// Task indices heaviest-first; a stable sort keeps ties in input
+/// order. Not generic, so the sort is compiled once, not per task type.
+fn dispatch_order(costs: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| Reverse(costs[i]));
+    order
+}
+
+/// Applies `f` to each index `0..costs.len()` through [`run_by_cost`]
+/// and returns the values in index order. A panic propagates on the
+/// caller's thread once every task has finished; with several, the
+/// lowest index's payload wins. For harnesses that want isolation
+/// instead, use [`run_by_cost`] directly.
+pub fn parallel_by_cost<T, F>(jobs: usize, costs: &[u64], f: F) -> Vec<T>
 where
     F: Fn(usize) -> T + Sync,
     T: Send,
 {
     let f = &f;
-    run_tasks(jobs, (0..n).map(|i| move || f(i)).collect())
+    let tasks = (0..costs.len()).map(|i| move || f(i)).collect();
+    run_by_cost(jobs, costs, tasks)
         .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(payload) => std::panic::resume_unwind(payload),
-        })
+        .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
         .collect()
+}
+
+/// [`parallel_by_cost`] with every cost zero: `f` runs on each index
+/// `0..n`, started in index order.
+pub fn parallel_indexed<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
+where
+    F: Fn(usize) -> T + Sync,
+    T: Send,
+{
+    parallel_by_cost(jobs, &vec![0; n], f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Cost vectors of every shape the callers produce: random, all
+    /// equal, tied runs, and ascending (reversed by the cursor).
+    fn cost_shapes(n: usize) -> Vec<Vec<u64>> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x9e37);
+        vec![
+            (0..n).map(|_| rng.gen_range(0u64..1000)).collect(),
+            vec![5; n],
+            (0..n as u64).map(|i| i % 3).collect(),
+            (0..n as u64).collect(),
+        ]
+    }
 
     #[test]
     fn results_come_back_in_input_order() {
-        for jobs in [1, 2, 3, 8] {
-            let tasks: Vec<_> = (0..23u64).map(|i| move || i * i).collect();
-            let out = run_tasks(jobs, tasks);
-            let values: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(values, (0..23u64).map(|i| i * i).collect::<Vec<_>>());
+        for costs in cost_shapes(23) {
+            for jobs in [1, 2, 3, 8] {
+                let tasks: Vec<_> = (0..23u64).map(|i| move || i * i).collect();
+                let out = run_by_cost(jobs, &costs, tasks);
+                let values: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
+                assert_eq!(
+                    values,
+                    (0..23u64).map(|i| i * i).collect::<Vec<_>>(),
+                    "jobs={jobs} costs={costs:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sequential_runs_heaviest_first_with_ties_in_input_order() {
+        let started = |costs: &[u64]| {
+            let log = Mutex::new(Vec::new());
+            let tasks: Vec<_> = (0..costs.len())
+                .map(|i| {
+                    let log = &log;
+                    move || log.lock().unwrap().push(i)
+                })
+                .collect();
+            run_by_cost(1, costs, tasks);
+            log.into_inner().unwrap()
+        };
+        assert_eq!(started(&[3, 7, 3, 0, 7, 1, 3]), [1, 4, 0, 2, 6, 5, 3]);
+        for costs in cost_shapes(23) {
+            let order = started(&costs);
+            for w in order.windows(2) {
+                let (a, b) = (w[0], w[1]);
+                assert!(
+                    costs[a] > costs[b] || (costs[a] == costs[b] && a < b),
+                    "task {a} (cost {}) started before task {b} (cost {})",
+                    costs[a],
+                    costs[b]
+                );
+            }
+            assert_eq!(order.len(), costs.len());
         }
     }
 
@@ -241,7 +289,8 @@ mod tests {
 
     #[test]
     fn stealing_drains_imbalanced_queues() {
-        // One long task pins a worker; the others must steal the rest.
+        // One long task holds a worker; the others keep claiming from
+        // the shared cursor and drain the rest.
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16usize)
             .map(|i| {
                 Box::new(move || {

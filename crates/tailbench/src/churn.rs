@@ -220,25 +220,13 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
 /// Runs independent churn points concurrently on the deterministic
 /// worker pool (`jobs` workers; 0 = auto, 1 = sequential), returning
 /// results in input order. Each point is one single-threaded engine
-/// run, so any pool width yields bit-identical results. A panicking
-/// point propagates after every sibling finished.
+/// run, so any pool width yields bit-identical results. Points start
+/// heaviest-first by tenant count, since host cost grows with the
+/// tenants a point serves. A panicking point propagates after every
+/// sibling finished.
 pub fn run_churn_points(configs: &[ChurnConfig], jobs: usize) -> Vec<ChurnResult> {
-    let tasks: Vec<_> = configs.iter().map(|cfg| move || run_churn(cfg)).collect();
-    let mut panic_payload = None;
-    let results: Vec<Option<ChurnResult>> = ksa_desim::pool::run_tasks(jobs, tasks)
-        .into_iter()
-        .map(|r| match r {
-            Ok(res) => Some(res),
-            Err(payload) => {
-                panic_payload.get_or_insert(payload);
-                None
-            }
-        })
-        .collect();
-    if let Some(payload) = panic_payload {
-        std::panic::resume_unwind(payload);
-    }
-    results.into_iter().map(|r| r.unwrap()).collect()
+    let costs: Vec<u64> = configs.iter().map(|c| c.params.tenants as u64).collect();
+    ksa_desim::pool::parallel_by_cost(jobs, &costs, |i| run_churn(&configs[i]))
 }
 
 #[cfg(test)]

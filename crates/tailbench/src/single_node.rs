@@ -179,40 +179,45 @@ pub fn run_single_node_retry(
 }
 
 /// Runs a whole sweep of independent `(app, config)` points concurrently
-/// on the deterministic work-stealing pool (`jobs` workers; 0 = auto,
+/// on the deterministic trial pool (`jobs` workers; 0 = auto,
 /// 1 = sequential), returning results in input order. This is the
 /// engine behind the Figure 3 noise grid (apps × {KVM, Docker} ×
 /// {isolated, noisy} × repetition seeds) and the calibration sweep: each
 /// point is one single-threaded engine run, so any worker count yields
-/// results bit-identical to the sequential sweep. A panicking point
-/// (e.g. a stalled node) propagates after every sibling point finished,
-/// so one bad configuration cannot silently truncate the grid.
+/// results bit-identical to the sequential sweep. Points start
+/// heaviest-first by `co_runner_work`. A panicking point (e.g. a
+/// stalled node) propagates after every sibling point finished, so one
+/// bad configuration cannot silently truncate the grid.
 pub fn run_points(
     points: &[(AppProfile, SingleNodeConfig)],
     noise_corpus: &Corpus,
     jobs: usize,
 ) -> Vec<TailResult> {
     let noise = SharedNoise::new(noise_corpus);
-    let noise = &noise;
-    let tasks: Vec<_> = points
+    let costs: Vec<u64> = points
         .iter()
-        .map(|(app, cfg)| move || run_node(app, cfg, noise, None, None))
+        .map(|(app, cfg)| co_runner_work(app, cfg))
         .collect();
-    let mut panic_payload = None;
-    let results: Vec<Option<TailResult>> = ksa_desim::pool::run_tasks(jobs, tasks)
-        .into_iter()
-        .map(|r| match r {
-            Ok(res) => Some(res),
-            Err(payload) => {
-                panic_payload.get_or_insert(payload);
-                None
-            }
-        })
-        .collect();
-    if let Some(payload) = panic_payload {
-        std::panic::resume_unwind(payload);
+    ksa_desim::pool::parallel_by_cost(jobs, &costs, |i| {
+        let (app, cfg) = &points[i];
+        run_node(app, cfg, &noise, None, None)
+    })
+}
+
+/// A point's estimated host cost, its dispatch key in [`run_points`].
+/// Noise co-runners produce most of a noisy point's events, for as long
+/// as the client keeps the run going, so a noisy point weighs its
+/// simulated horizon (`requests` over the arrival rate) times its noise
+/// cores. An isolated point weighs 0.
+fn co_runner_work(app: &AppProfile, cfg: &SingleNodeConfig) -> u64 {
+    if !cfg.noise {
+        return 0;
     }
-    results.into_iter().map(|r| r.unwrap()).collect()
+    // A malformed split must fail inside its own trial, not here.
+    let per_group = cfg.machine.cores.checked_div(cfg.groups).unwrap_or(0);
+    let horizon_ns = cfg.requests as f64 / app.arrival_rate(per_group, cfg.util_pct);
+    // Float-to-int casts saturate, so a zero rate cannot wrap.
+    (horizon_ns * (cfg.machine.cores - per_group) as f64) as u64
 }
 
 /// Runs one cluster node: `batches` rounds of `per_batch` requests with a

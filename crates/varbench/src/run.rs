@@ -5,7 +5,7 @@
 //! measurement campaign with it, and independent trials must not wait on
 //! each other. [`run`] returns `Result` instead of panicking;
 //! [`run_configs`] executes trials concurrently on the deterministic
-//! work-stealing pool ([`ksa_desim::pool`]) with each trial isolated
+//! trial pool ([`ksa_desim::pool`]) with each trial isolated
 //! behind `catch_unwind`; [`run_configs_retry`] re-runs failed trials a
 //! bounded number of times under derived seeds while preserving every
 //! completed result. Worker counts come from the caller (`--jobs`) or
@@ -338,7 +338,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs several configurations concurrently on the deterministic
-/// work-stealing pool, with results in input order. Worker count is the
+/// trial pool, with results in input order. Worker count is the
 /// auto default (`KSA_JOBS` or available parallelism); see
 /// [`run_configs_jobs`] for an explicit `--jobs` knob. Each trial is
 /// panic-isolated: one failing trial never discards the others' results.

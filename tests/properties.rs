@@ -831,16 +831,19 @@ fn healed_partitions_conserve_barrier_completions() {
 }
 
 /// A panicking task on the worker pool never takes siblings down with
-/// it: for random task counts, worker counts and panic subsets, every
-/// non-panicking slot returns its value and every panicking slot
-/// surfaces its own payload, all in input order.
+/// it: for random task counts, worker counts, cost keys and panic
+/// subsets, every non-panicking slot returns its value and every
+/// panicking slot surfaces its own payload, all in input order.
 #[test]
 fn pool_panics_stay_isolated() {
-    use ksa_core::desim::pool::run_tasks;
+    use ksa_core::desim::pool::run_by_cost;
     for_each_case("pool_panics_stay_isolated", |seed, rng| {
         let n = rng.gen_range(1usize..24);
         let jobs = rng.gen_range(1usize..6);
         let doomed: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.3)).collect();
+        // Narrow cost ranges give ties, wide ones a strict order.
+        let max_cost = [1u64, 4, 1 << 40][rng.gen_range(0usize..3)];
+        let costs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..max_cost)).collect();
         let tasks: Vec<_> = (0..n)
             .map(|i| {
                 let dies = doomed[i];
@@ -852,7 +855,7 @@ fn pool_panics_stay_isolated() {
                 }
             })
             .collect();
-        let results = run_tasks(jobs, tasks);
+        let results = run_by_cost(jobs, &costs, tasks);
         assert_eq!(results.len(), n, "seed {seed:#x}: slot count");
         for (i, r) in results.into_iter().enumerate() {
             match r {
@@ -875,6 +878,94 @@ fn pool_panics_stay_isolated() {
             }
         }
     });
+}
+
+/// Dispatch order never reaches results. The pool starts points
+/// heaviest-first, so shuffling a batch changes which trial runs when
+/// (and which one first interns each coverage block in the
+/// process-global registry). A shuffled Figure 3 point set and a
+/// shuffled churn grid must come back as the same shuffle of
+/// bit-identical results at every pool width.
+#[test]
+fn dispatch_order_never_reaches_results() {
+    use ksa_core::envsim::{EnvKind, Machine};
+    use ksa_core::experiments::{noise_corpus, Scale};
+    use ksa_core::tailbench::apps::suite;
+    use ksa_core::tailbench::churn::{run_churn_points, ChurnConfig};
+    use ksa_core::tailbench::single_node::{run_points, SingleNodeConfig};
+    use rand::seq::SliceRandom;
+
+    let mut rng = SmallRng::seed_from_u64(base_seed("dispatch_order_never_reaches_results"));
+    let shuffled = |n: usize, rng: &mut SmallRng| {
+        let mut perm: Vec<usize> = (0..n).collect();
+        perm.shuffle(rng);
+        perm
+    };
+
+    // Figure 3 at Tiny scale, two apps × the four grid cells.
+    let noise = noise_corpus(Scale::Tiny);
+    let requests = Scale::Tiny.requests();
+    let points: Vec<_> = suite()
+        .into_iter()
+        .take(2)
+        .flat_map(|app| {
+            [(true, false), (false, false), (true, true), (false, true)].map(|(virt, noise)| {
+                let cfg = SingleNodeConfig {
+                    machine: Machine {
+                        cores: 8,
+                        mem_mib: 8 * 1024,
+                    },
+                    groups: 4,
+                    virt,
+                    noise,
+                    requests,
+                    warmup: (requests / 10) as usize,
+                    util_pct: 75,
+                    seed: 0xf163,
+                    trace: false,
+                    metrics: false,
+                    spec: None,
+                };
+                (app.clone(), cfg)
+            })
+        })
+        .collect();
+    let baseline = run_points(&points, &noise, 1);
+    let perm = shuffled(points.len(), &mut rng);
+    let input: Vec<_> = perm.iter().map(|&k| points[k].clone()).collect();
+    for jobs in [1usize, 2, 4] {
+        let got = run_points(&input, &noise, jobs);
+        for (j, (&k, r)) in perm.iter().zip(&got).enumerate() {
+            let want = &baseline[k];
+            let ctx = format!("jobs {jobs}: shuffled slot {j} (point {k})");
+            assert_eq!(r.app, want.app, "{ctx}: app");
+            assert_eq!(r.sim_ns, want.sim_ns, "{ctx}: clock diverged");
+            assert_eq!(r.events, want.events, "{ctx}: events diverged");
+            assert_eq!(r.sojourns.raw(), want.sojourns.raw(), "{ctx}: sojourns");
+        }
+    }
+
+    // Churn: two densities (distinct costs) × three kinds (ties).
+    let configs: Vec<ChurnConfig> = [16usize, 48]
+        .into_iter()
+        .flat_map(|density| {
+            [EnvKind::Container(8), EnvKind::Vm(2), EnvKind::Vm(4)]
+                .map(|kind| ChurnConfig::quick(kind, density, 0xc4 + density as u64))
+        })
+        .collect();
+    let baseline = run_churn_points(&configs, 1);
+    let perm = shuffled(configs.len(), &mut rng);
+    let input: Vec<_> = perm.iter().map(|&k| configs[k]).collect();
+    for jobs in [1usize, 2, 4] {
+        let got = run_churn_points(&input, jobs);
+        for (j, (&k, r)) in perm.iter().zip(&got).enumerate() {
+            let want = &baseline[k];
+            let ctx = format!("jobs {jobs}: shuffled slot {j} (point {k})");
+            assert_eq!(r.digest, want.digest, "{ctx}: record digest diverged");
+            assert_eq!(r.sim_ns, want.sim_ns, "{ctx}: clock diverged");
+            assert_eq!(r.events, want.events, "{ctx}: events diverged");
+        }
+    }
 }
 
 /// The slab event queue's free-list reuse is invisible to simulation
