@@ -119,22 +119,17 @@ fn main() {
         .map(|e| e.plan.clone())
         .unwrap_or_else(FaultPlan::none);
     let res = run_hooked(
-        &RunConfig {
-            env: EnvSpec::new(
+        &RunConfig::new(
+            EnvSpec::new(
                 Machine {
                     cores: 4,
                     mem_mib: 2048,
                 },
                 EnvKind::Native,
             ),
-            iterations: 4,
-            sync: true,
-            seed: 13,
-            max_events: 0,
-            trace: false,
-            metrics: false,
-            spec: None,
-        },
+            4,
+            13,
+        ),
         &base,
         |engine| engine.set_fault_plan(plan),
     )

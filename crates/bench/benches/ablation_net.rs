@@ -20,20 +20,8 @@ const MACHINE: Machine = Machine {
 };
 
 fn trial(corpus: &ksa_kernel::prog::Corpus, kind: EnvKind) -> RunResult {
-    run(
-        &RunConfig {
-            env: EnvSpec::new(MACHINE, kind),
-            iterations: 6,
-            sync: true,
-            seed: 17,
-            max_events: 0,
-            trace: false,
-            metrics: false,
-            spec: None,
-        },
-        corpus,
-    )
-    .expect("ablation_net trial failed")
+    run(&RunConfig::new(EnvSpec::new(MACHINE, kind), 6, 17), corpus)
+        .expect("ablation_net trial failed")
 }
 
 /// Median and worst per-site p99 over the Network category.

@@ -25,16 +25,11 @@ fn main() {
     for (label, mem_mib) in [("proportional", 4096u64), ("memory_rich", 16_384)] {
         group.bench(label, || {
             run(
-                &RunConfig {
-                    env: EnvSpec::new(Machine { cores: 8, mem_mib }, EnvKind::Vm(8)),
-                    iterations: 4,
-                    sync: true,
-                    seed: 5,
-                    max_events: 0,
-                    trace: false,
-                    metrics: false,
-                    spec: None,
-                },
+                &RunConfig::new(
+                    EnvSpec::new(Machine { cores: 8, mem_mib }, EnvKind::Vm(8)),
+                    4,
+                    5,
+                ),
                 &corpus,
             )
         });
@@ -42,22 +37,17 @@ fn main() {
 
     for (label, mem) in [("proportional-4G", 4096u64), ("memory-rich-16G", 16_384)] {
         let mut res = run(
-            &RunConfig {
-                env: EnvSpec::new(
+            &RunConfig::new(
+                EnvSpec::new(
                     Machine {
                         cores: 8,
                         mem_mib: mem,
                     },
                     EnvKind::Vm(8),
                 ),
-                iterations: 6,
-                sync: true,
-                seed: 5,
-                max_events: 0,
-                trace: false,
-                metrics: false,
-                spec: None,
-            },
+                6,
+                5,
+            ),
             &corpus,
         )
         .expect("trial failed");

@@ -21,14 +21,8 @@ fn main() {
         group.bench(if sync { "synced" } else { "unsynced" }, || {
             run(
                 &RunConfig {
-                    env: EnvSpec::new(machine, EnvKind::Native),
-                    iterations: 4,
                     sync,
-                    seed: 3,
-                    max_events: 0,
-                    trace: false,
-                    metrics: false,
-                    spec: None,
+                    ..RunConfig::new(EnvSpec::new(machine, EnvKind::Native), 4, 3)
                 },
                 &corpus,
             )
@@ -40,14 +34,8 @@ fn main() {
     for sync in [true, false] {
         let mut res = run(
             &RunConfig {
-                env: EnvSpec::new(machine, EnvKind::Native),
-                iterations: 8,
                 sync,
-                seed: 3,
-                max_events: 0,
-                trace: false,
-                metrics: false,
-                spec: None,
+                ..RunConfig::new(EnvSpec::new(machine, EnvKind::Native), 8, 3)
             },
             &corpus,
         )

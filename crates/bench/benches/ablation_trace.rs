@@ -25,16 +25,7 @@ const MACHINE: Machine = Machine {
 
 fn trial(corpus: &ksa_kernel::prog::Corpus, kind: EnvKind) -> RunResult {
     run_hooked(
-        &RunConfig {
-            env: EnvSpec::new(MACHINE, kind),
-            iterations: 6,
-            sync: true,
-            seed: 23,
-            max_events: 0,
-            trace: false,
-            metrics: false,
-            spec: None,
-        },
+        &RunConfig::new(EnvSpec::new(MACHINE, kind), 6, 23),
         corpus,
         |engine| {
             use ksa_kernel::world::HasKernel;

@@ -17,16 +17,7 @@ fn measure(free_hypervisor: bool, corpus: &ksa_kernel::prog::Corpus) -> RunResul
         mem_mib: 4096,
     };
     run_hooked(
-        &RunConfig {
-            env: EnvSpec::new(machine, EnvKind::Vm(8)),
-            iterations: 6,
-            sync: true,
-            seed: 9,
-            max_events: 0,
-            trace: false,
-            metrics: false,
-            spec: None,
-        },
+        &RunConfig::new(EnvSpec::new(machine, EnvKind::Vm(8)), 6, 9),
         corpus,
         |engine| {
             if free_hypervisor {

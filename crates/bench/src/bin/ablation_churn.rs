@@ -32,7 +32,7 @@
 //!
 //! Exit code 1 on any gate failure.
 
-use ksa_bench::{cell_ns, Cli};
+use ksa_bench::{cell_ns, Cli, Gates};
 use ksa_core::experiments::Scale;
 use ksa_envsim::{ChurnParams, EnvKind, Machine};
 use ksa_kernel::prog::{Arg, Call, Corpus, Program};
@@ -84,20 +84,6 @@ fn churn_corpus() -> Corpus {
                 ],
             },
         ],
-    }
-}
-
-struct Gates {
-    failures: u32,
-}
-
-impl Gates {
-    fn check(&mut self, name: &str, ok: bool, detail: String) {
-        let verdict = if ok { "ok  " } else { "FAIL" };
-        println!("  [{verdict}] {name}: {detail}");
-        if !ok {
-            self.failures += 1;
-        }
     }
 }
 
@@ -158,7 +144,7 @@ fn main() {
         );
     }
 
-    let mut gates = Gates { failures: 0 };
+    let mut gates = Gates::new("ablation_churn");
 
     // Gate 1: conservation + table hygiene on every run.
     let leaks: Vec<String> = names
@@ -270,9 +256,5 @@ fn main() {
         top[0].worst_tenant_p99 as f64 / top[1].worst_tenant_p99.max(1) as f64
     );
 
-    if gates.failures > 0 {
-        eprintln!("\nablation_churn: {} gate(s) FAILED", gates.failures);
-        std::process::exit(1);
-    }
-    println!("\nablation_churn: all gates passed");
+    gates.finish();
 }

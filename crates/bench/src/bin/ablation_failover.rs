@@ -17,16 +17,15 @@
 //! Exit code 1 on any gate failure. `--trace-out <path>` dumps the
 //! crash run's recovery marks as Chrome-trace JSON.
 
-use ksa_bench::{cell_ns, Cli};
+use ksa_bench::{cell_ns, Cli, Gates};
 use ksa_cluster::{run_cluster, run_cluster_faulted, ClusterConfig, FabricConfig};
 use ksa_core::experiments::{noise_corpus, Scale};
 use ksa_desim::NodeFaultPlan;
 use ksa_envsim::Machine;
-use ksa_tailbench::single_node::SingleNodeConfig;
 use ksa_tailbench::suite;
 use ksa_varbench::traceout::chrome_trace_json;
 
-/// The Figure-4-shaped cluster for `scale`, sized like `fig4_jobs` but
+/// The Figure-4-shaped cluster for `scale`, sized like `fig4` but
 /// restoring the paper's 64 nodes at full scale (the failover gates are
 /// about membership behaviour, so node count is the interesting axis).
 fn cluster_config(scale: Scale, seed: u64, jobs: usize) -> ClusterConfig {
@@ -55,38 +54,8 @@ fn cluster_config(scale: Scale, seed: u64, jobs: usize) -> ClusterConfig {
         ),
     };
     ClusterConfig {
-        nodes,
-        iterations,
-        requests_per_iter: per_iter,
-        node: SingleNodeConfig {
-            machine,
-            groups: 2,
-            virt: false,
-            noise: false,
-            requests: 0,
-            warmup: 0,
-            util_pct: 92,
-            trace: false,
-            metrics: false,
-            spec: None,
-            seed,
-        },
-        barrier_ns: 40_000,
         threads: jobs,
-    }
-}
-
-struct Gates {
-    failures: u32,
-}
-
-impl Gates {
-    fn check(&mut self, name: &str, ok: bool, detail: String) {
-        let verdict = if ok { "ok  " } else { "FAIL" };
-        println!("  [{verdict}] {name}: {detail}");
-        if !ok {
-            self.failures += 1;
-        }
+        ..ClusterConfig::new(nodes, iterations, per_iter, machine, false, false, seed)
     }
 }
 
@@ -96,7 +65,7 @@ fn main() {
     let noise = noise_corpus(cli.scale);
     let cfg = cluster_config(cli.scale, cli.seed, cli.jobs);
     let fab = FabricConfig::quick();
-    let mut gates = Gates { failures: 0 };
+    let mut gates = Gates::new("ablation_failover");
 
     println!(
         "ablation_failover: {} nodes x {} iterations, seed {}",
@@ -238,9 +207,5 @@ fn main() {
     }
     cli.write_csv("ablation_failover", &csv);
 
-    if gates.failures > 0 {
-        eprintln!("\nablation_failover: {} gate(s) FAILED", gates.failures);
-        std::process::exit(1);
-    }
-    println!("\nablation_failover: all gates passed");
+    gates.finish();
 }

@@ -10,7 +10,8 @@
 //!    samples all match the disabled run, and the disabled registry
 //!    never takes a sample;
 //! 2. **attribution** — enabled per-category telemetry totals exactly
-//!    equal the independently-collected [`AttributionTable`] sums, and
+//!    equal the independently-collected
+//!    [`AttributionTable`](ksa_kernel::AttributionTable) sums, and
 //!    the engine counter equals the run's event count;
 //! 3. **exports** — the Prometheus text, time-series JSON, collapsed
 //!    stacks and speedscope profile all parse / are well-formed;
@@ -19,7 +20,7 @@
 //!
 //! Exit code 1 on any gate failure.
 
-use ksa_bench::{cell_ns, Cli};
+use ksa_bench::{cell_ns, Cli, Gates};
 use ksa_core::experiments::{default_corpus, Scale};
 use ksa_envsim::{EnvKind, EnvSpec};
 use ksa_json::parse;
@@ -28,20 +29,6 @@ use ksa_tailbench::single_node::{run_single_node, SingleNodeConfig, TailResult};
 use ksa_tailbench::suite;
 use ksa_telemetry::export::{collapsed, prometheus_text, speedscope_json, timeseries_json};
 use ksa_varbench::{run_configs_jobs, RunConfig, RunResult};
-
-struct Gates {
-    failures: u32,
-}
-
-impl Gates {
-    fn check(&mut self, name: &str, ok: bool, detail: String) {
-        let verdict = if ok { "ok  " } else { "FAIL" };
-        println!("  [{verdict}] {name}: {detail}");
-        if !ok {
-            self.failures += 1;
-        }
-    }
-}
 
 fn same_sim(a: &RunResult, b: &RunResult) -> bool {
     a.sim_ns == b.sim_ns
@@ -61,7 +48,7 @@ fn same_tail(a: &TailResult, b: &TailResult) -> bool {
 
 fn main() {
     let cli = Cli::parse();
-    let mut gates = Gates { failures: 0 };
+    let mut gates = Gates::new("ablation_obs");
 
     // ------------------------------------------------ varbench campaign
     let corpus = default_corpus(cli.scale);
@@ -70,14 +57,12 @@ fn main() {
         s => s,
     };
     let mk_cfg = |metrics: bool| RunConfig {
-        env: EnvSpec::new(scale.machine(), EnvKind::Vm(4)),
-        iterations: scale.iterations(),
-        sync: true,
-        seed: cli.seed,
-        max_events: 0,
-        trace: false,
         metrics,
-        spec: None,
+        ..RunConfig::new(
+            EnvSpec::new(scale.machine(), EnvKind::Vm(4)),
+            scale.iterations(),
+            cli.seed,
+        )
     };
     let off = expect_one(run_configs_jobs(&[mk_cfg(false)], &corpus.corpus, cli.jobs));
     let on = expect_one(run_configs_jobs(&[mk_cfg(true)], &corpus.corpus, cli.jobs));
@@ -142,7 +127,7 @@ fn main() {
         Scale::Full => SingleNodeConfig::paper(true, false, cli.seed),
         _ => SingleNodeConfig::quick(true, false, cli.seed),
     };
-    let tail_off = run_single_node(app, &SingleNodeConfig { ..base }, &corpus.corpus);
+    let tail_off = run_single_node(app, &base, &corpus.corpus);
     let tail_on = run_single_node(
         app,
         &SingleNodeConfig {
@@ -232,11 +217,7 @@ fn main() {
     cli.write_csv("ablation_obs", &csv);
     cli.write_metrics("ablation_obs", &on.metrics, &frames);
 
-    if gates.failures > 0 {
-        eprintln!("\nablation_obs: {} gate(s) FAILED", gates.failures);
-        std::process::exit(1);
-    }
-    println!("\nablation_obs: all gates passed");
+    gates.finish();
 }
 
 fn expect_one(mut results: Vec<Result<RunResult, ksa_varbench::RunError>>) -> RunResult {

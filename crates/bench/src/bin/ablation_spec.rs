@@ -25,7 +25,7 @@
 //!
 //! Exit code 1 on any gate failure.
 
-use ksa_bench::{cell_ns, Cli};
+use ksa_bench::{cell_ns, Cli, Gates};
 use ksa_core::experiments::Scale;
 use ksa_kernel::prog::{Arg, Call, Corpus, Program};
 use ksa_kernel::SysNo;
@@ -69,20 +69,6 @@ fn xapian_corpus() -> Corpus {
     }
 }
 
-struct Gates {
-    failures: u32,
-}
-
-impl Gates {
-    fn check(&mut self, name: &str, ok: bool, detail: String) {
-        let verdict = if ok { "ok  " } else { "FAIL" };
-        println!("  [{verdict}] {name}: {detail}");
-        if !ok {
-            self.failures += 1;
-        }
-    }
-}
-
 fn identical(a: &TailResult, b: &TailResult) -> bool {
     a.p99 == b.p99
         && a.sim_ns == b.sim_ns
@@ -112,7 +98,7 @@ fn main() {
         Scale::Full => SingleNodeConfig::paper(false, false, cli.seed),
         _ => SingleNodeConfig::quick(false, false, cli.seed),
     };
-    let shared = SingleNodeConfig { ..base };
+    let shared = base;
     let partitioned = SingleNodeConfig { virt: true, ..base };
     let specialized = SingleNodeConfig {
         virt: true,
@@ -136,7 +122,7 @@ fn main() {
             res.locks_allocated
         );
     }
-    let mut gates = Gates { failures: 0 };
+    let mut gates = Gates::new("ablation_spec");
 
     // Gate 1: the static footprint strictly shrinks.
     gates.check(
@@ -209,9 +195,5 @@ fn main() {
         format_args!("{:.2}", sh.p99 as f64 / part.p99.max(1) as f64)
     );
 
-    if gates.failures > 0 {
-        eprintln!("\nablation_spec: {} gate(s) FAILED", gates.failures);
-        std::process::exit(1);
-    }
-    println!("\nablation_spec: all gates passed");
+    gates.finish();
 }

@@ -12,24 +12,19 @@ fn main() {
     let noise = noise_corpus(Scale::Tiny);
     // The app × virt sweep points are independent low-load runs; push
     // them through the pool like every other sweep.
+    let machine = Machine {
+        cores: 16,
+        mem_mib: 16 * 1024,
+    };
     let mut points = Vec::new();
     for app in suite() {
         for virt in [false, true] {
+            // Low load: sojourn ~= service demand.
             let cfg = SingleNodeConfig {
-                machine: Machine {
-                    cores: 16,
-                    mem_mib: 16 * 1024,
-                },
-                groups: 4,
-                virt,
-                noise: false,
                 requests: 400,
                 warmup: 50,
-                util_pct: 10, // low load: sojourn ~= service demand
-                trace: false,
                 metrics: cli.metrics(),
-                spec: None,
-                seed: 5,
+                ..SingleNodeConfig::new(machine, 4, virt, false, 10, 5)
             };
             points.push((app.clone(), cfg));
         }

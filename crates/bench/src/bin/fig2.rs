@@ -4,13 +4,12 @@
 
 use ksa_bench::Cli;
 use ksa_core::analysis::{render_trends, surface_trends};
-use ksa_core::experiments::{default_corpus, fig2_metered};
+use ksa_core::experiments::{default_corpus, fig2};
 
 fn main() {
     let cli = Cli::parse();
     let corpus = default_corpus(cli.scale);
-    let (result, metered) =
-        fig2_metered(&corpus.corpus, cli.scale, cli.seed, cli.jobs, cli.metrics());
+    let (result, metered) = fig2(&corpus.corpus, cli.scale, cli.seed, cli.jobs, cli.metrics());
 
     let mut csv = String::from("category,vms,count,min,whisker_lo,q1,median,q3,whisker_hi,max\n");
     for cat in &result.categories {

@@ -75,6 +75,12 @@ use ksa_varbench::{run_configs_jobs, RunConfig};
 /// seed, so it is not a CLI knob.
 const SEED: u64 = 42;
 
+/// The 8-core node every tailbench and cluster micro-experiment runs on.
+const NODE_MACHINE: Machine = Machine {
+    cores: 8,
+    mem_mib: 8 * 1024,
+};
+
 /// Exit code for a malformed baseline file — distinct from drift (2) so
 /// CI can tell "the committed baseline is corrupt" from "the simulation
 /// changed".
@@ -161,16 +167,7 @@ fn varbench_case(configs: &[RunConfig], corpus: &Corpus, jobs: usize) -> SimOut 
 }
 
 fn base_cfg(machine: Machine, kind: EnvKind) -> RunConfig {
-    RunConfig {
-        env: EnvSpec::new(machine, kind),
-        iterations: Scale::Tiny.iterations(),
-        sync: true,
-        seed: SEED,
-        max_events: 0,
-        trace: false,
-        metrics: false,
-        spec: None,
-    }
+    RunConfig::new(EnvSpec::new(machine, kind), Scale::Tiny.iterations(), SEED)
 }
 
 fn main() {
@@ -289,10 +286,6 @@ fn main() {
         (
             "fig3",
             Box::new(|jobs| {
-                let node_machine = Machine {
-                    cores: 8,
-                    mem_mib: 8 * 1024,
-                };
                 let mut points = Vec::new();
                 for app in app_suite() {
                     for (virt, with_noise) in
@@ -301,17 +294,9 @@ fn main() {
                         points.push((
                             app.clone(),
                             SingleNodeConfig {
-                                machine: node_machine,
-                                groups: 4,
-                                virt,
-                                noise: with_noise,
                                 requests: 120,
                                 warmup: 12,
-                                util_pct: 75,
-                                trace: false,
-                                metrics: false,
-                                spec: None,
-                                seed: SEED,
+                                ..SingleNodeConfig::new(NODE_MACHINE, 4, virt, with_noise, 75, SEED)
                             },
                         ));
                     }
@@ -344,27 +329,8 @@ fn main() {
                 for app in apps.iter().take(2) {
                     for (virt, with_noise) in [(true, false), (false, true)] {
                         let cfg = ClusterConfig {
-                            nodes: 4,
-                            iterations: 3,
-                            requests_per_iter: 20,
-                            node: SingleNodeConfig {
-                                machine: Machine {
-                                    cores: 8,
-                                    mem_mib: 8 * 1024,
-                                },
-                                groups: 2,
-                                virt,
-                                noise: with_noise,
-                                requests: 0,
-                                warmup: 0,
-                                util_pct: 92,
-                                trace: false,
-                                metrics: false,
-                                spec: None,
-                                seed: SEED,
-                            },
-                            barrier_ns: 40_000,
                             threads: jobs,
+                            ..ClusterConfig::new(4, 3, 20, NODE_MACHINE, virt, with_noise, SEED)
                         };
                         let res = run_cluster(app, &cfg, &noise);
                         sim_ns += res.total_ns;
@@ -394,27 +360,8 @@ fn main() {
                 // the baseline pins the recovery machinery bit-for-bit.
                 let app = &app_suite()[1];
                 let cfg = ClusterConfig {
-                    nodes: 6,
-                    iterations: 4,
-                    requests_per_iter: 20,
-                    node: SingleNodeConfig {
-                        machine: Machine {
-                            cores: 8,
-                            mem_mib: 8 * 1024,
-                        },
-                        groups: 2,
-                        virt: false,
-                        noise: true,
-                        requests: 0,
-                        warmup: 0,
-                        util_pct: 92,
-                        trace: false,
-                        metrics: false,
-                        spec: None,
-                        seed: SEED,
-                    },
-                    barrier_ns: 40_000,
                     threads: jobs,
+                    ..ClusterConfig::new(6, 4, 20, NODE_MACHINE, false, true, SEED)
                 };
                 let plan = NodeFaultPlan::new(SEED)
                     .crash(2, 900_000, 1_500_000)
@@ -456,20 +403,19 @@ fn main() {
                         points.push((
                             app.clone(),
                             SingleNodeConfig {
-                                machine: Machine {
-                                    cores: 16,
-                                    mem_mib: 16 * 1024,
-                                },
-                                groups: 4,
-                                virt,
-                                noise: false,
                                 requests: 100,
                                 warmup: 10,
-                                util_pct: 10,
-                                trace: false,
-                                metrics: false,
-                                spec: None,
-                                seed: SEED,
+                                ..SingleNodeConfig::new(
+                                    Machine {
+                                        cores: 16,
+                                        mem_mib: 16 * 1024,
+                                    },
+                                    4,
+                                    virt,
+                                    false,
+                                    10,
+                                    SEED,
+                                )
                             },
                         ));
                     }

@@ -1,6 +1,6 @@
 //! Shared plumbing for the experiment binaries: CLI parsing and artifact
-//! writing in [`cli`], table-cell formatting, and the offline
-//! [`microbench`] harness. See [`cli`] for the flags every binary
+//! writing in [`cli`], table-cell formatting, the ablation binaries'
+//! pass/fail [`Gates`], and the offline [`microbench`] harness. See [`cli`] for the flags every binary
 //! accepts.
 
 pub mod cli;
@@ -10,6 +10,40 @@ pub use cli::Cli;
 /// Formats a nanosecond value for table cells.
 pub fn cell_ns(ns: u64) -> String {
     ksa_stats::fmt_ns(ns)
+}
+
+/// The claim checks of one ablation binary: each gate prints an
+/// `[ok  ]` or `[FAIL]` line as it is checked, and [`Gates::finish`]
+/// exits with status 1 if any failed.
+pub struct Gates {
+    bin: &'static str,
+    failures: u32,
+}
+
+impl Gates {
+    /// An empty ledger for the binary named `bin`.
+    pub fn new(bin: &'static str) -> Self {
+        Self { bin, failures: 0 }
+    }
+
+    /// Prints the gate's verdict line and counts a failure.
+    pub fn check(&mut self, name: &str, ok: bool, detail: String) {
+        let verdict = if ok { "ok  " } else { "FAIL" };
+        println!("  [{verdict}] {name}: {detail}");
+        if !ok {
+            self.failures += 1;
+        }
+    }
+
+    /// Reports the tally: exits 1 after naming the failed-gate count,
+    /// or prints that every gate passed.
+    pub fn finish(self) {
+        if self.failures > 0 {
+            eprintln!("\n{}: {} gate(s) FAILED", self.bin, self.failures);
+            std::process::exit(1);
+        }
+        println!("\n{}: all gates passed", self.bin);
+    }
 }
 
 /// Minimal wall-clock micro-benchmark runner for the `benches/` targets

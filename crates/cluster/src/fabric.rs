@@ -1,9 +1,8 @@
 //! The cluster fabric's failure-detection and recovery machinery.
 //!
-//! [`run_cluster`](crate::run_cluster) models a *healthy* BSP cluster:
-//! per-iteration barriers reduce to a max over independent node
-//! simulations. This module lifts PR 1's per-site fault discipline to
-//! the node/link level: a seeded [`NodeFaultPlan`] schedules node
+//! A *healthy* BSP cluster's per-iteration barriers reduce to a max
+//! over independent node simulations. This module lifts the per-site
+//! fault discipline to the node/link level: a seeded [`NodeFaultPlan`] schedules node
 //! crash/reboot windows, partition and degraded-link windows, and
 //! probabilistic message drops, and the fabric rides through them with
 //! a real recovery path:
@@ -29,10 +28,12 @@
 //! bit-identical.
 //!
 //! With an *empty* plan the fabric reduces exactly to the healthy
-//! semantics — healthy link latency is modelled as part of
+//! barrier-max fold — healthy link latency is modelled as part of
 //! `barrier_ns`, so only fault-induced delays (degradation excess,
 //! retransmit backoff, detection timeouts, re-execution) move an
-//! iteration — pinned by `faulted_run_with_empty_plan_matches_healthy`.
+//! iteration. [`run_cluster`](crate::run_cluster) is that empty-plan
+//! run; `faulted_run_with_empty_plan_matches_healthy` pins it against an
+//! independent fold of the node results.
 
 use ksa_desim::{
     Backoff, CoreId, NodeFaultPlan, Ns, Pid, TraceEvent, TraceEventKind, TraceLog, TraceRing,
@@ -277,8 +278,9 @@ fn deliver(
 
 /// Runs `app` across the cluster under a node/link fault plan, riding
 /// through crashes, partitions and lossy links with the recovery
-/// machinery above. With an empty plan this is bit-identical to
-/// [`run_cluster`](crate::run_cluster).
+/// machinery above. With an empty plan every iteration is the max over
+/// nodes plus `barrier_ns`; [`run_cluster`](crate::run_cluster) is that
+/// run.
 pub fn run_cluster_faulted(
     app: &AppProfile,
     cfg: &ClusterConfig,
@@ -460,6 +462,7 @@ mod tests {
     use ksa_kernel::coverage::is_error_block;
     use ksa_kernel::{Arg, Call, Program, SysNo};
     use ksa_tailbench::apps::suite;
+    use ksa_tailbench::single_node::{run_node_batched, SingleNodeConfig};
 
     fn corpus() -> Corpus {
         Corpus {
@@ -487,10 +490,42 @@ mod tests {
         (rec_n, err_n)
     }
 
+    /// The healthy barrier-max fold, computed here from scratch: each
+    /// node is one `run_node_batched` call seeded the way `run_nodes`
+    /// seeds it; an iteration is the slowest node plus `barrier_ns`.
+    /// Returns `(iteration_ns, total_ns, mean_node_ns)`.
+    fn reference_fold(app: &AppProfile, cfg: &ClusterConfig, noise: &Corpus) -> (Vec<Ns>, Ns, Ns) {
+        let per_node: Vec<Vec<Ns>> = (0..cfg.nodes)
+            .map(|node| {
+                let node_cfg = SingleNodeConfig {
+                    seed: cfg
+                        .node
+                        .seed
+                        .wrapping_mul(0x9e3779b97f4a7c15)
+                        .wrapping_add(node as u64),
+                    ..cfg.node
+                };
+                run_node_batched(app, &node_cfg, noise, cfg.iterations, cfg.requests_per_iter)
+                    .batch_durations
+            })
+            .collect();
+        let iteration_ns: Vec<Ns> = (0..cfg.iterations as usize)
+            .map(|it| per_node.iter().map(|d| d[it]).max().unwrap() + cfg.barrier_ns)
+            .collect();
+        let busy: u128 = per_node.iter().flatten().map(|&d| d as u128).sum();
+        let mean_node_ns = (busy / cfg.nodes as u128) as Ns + cfg.barrier_ns * cfg.iterations;
+        (
+            iteration_ns.clone(),
+            iteration_ns.iter().sum(),
+            mean_node_ns,
+        )
+    }
+
     #[test]
     fn faulted_run_with_empty_plan_matches_healthy() {
         let app = &suite()[1];
         let cfg = ClusterConfig::quick(false, true, 23);
+        let (iteration_ns, total_ns, mean_node_ns) = reference_fold(app, &cfg, &corpus());
         let healthy = run_cluster(app, &cfg, &corpus());
         let faulted = run_cluster_faulted(
             app,
@@ -499,9 +534,14 @@ mod tests {
             &NodeFaultPlan::none(),
             &FabricConfig::quick(),
         );
-        assert_eq!(healthy.iteration_ns, faulted.iteration_ns);
-        assert_eq!(healthy.total_ns, faulted.total_ns);
-        assert_eq!(healthy.mean_node_ns, faulted.mean_node_ns);
+        for res in [&healthy, &faulted] {
+            assert_eq!(res.iteration_ns, iteration_ns);
+            assert_eq!(res.total_ns, total_ns);
+            assert_eq!(res.mean_node_ns, mean_node_ns);
+        }
+        assert!(healthy.fabric.is_none(), "a healthy run reports no fabric");
+        assert!(healthy.coverage.is_empty());
+        assert_eq!(healthy.trace.total_events(), 0);
         let rep = faulted.fabric.unwrap();
         assert_eq!(rep.retransmits, 0);
         assert_eq!(rep.reassignments, 0);

@@ -16,7 +16,7 @@
 //! bit-identical for every worker count, including the sequential
 //! (`threads == 1`) baseline.
 
-use ksa_desim::{Ns, TraceLog};
+use ksa_desim::{NodeFaultPlan, Ns, TraceLog};
 use ksa_kernel::coverage::CoverageSet;
 use ksa_kernel::prog::Corpus;
 use ksa_tailbench::apps::AppProfile;
@@ -47,63 +47,47 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The paper's configuration: 64 nodes, 50 iterations, one NUMA
-    /// socket per app (we model the socket as a 24-core machine split in
-    /// two: the app's half and the noise corpus's half).
-    pub fn paper(virt: bool, noise: bool, seed: u64) -> Self {
+    /// `nodes` BSP nodes on `machine`, each split in two (the app's half
+    /// and the noise corpus's half) with clients pushing the servers to
+    /// 92% utilization, a ~40µs allreduce barrier, and the auto pool
+    /// width. BSP batches are throughput-oriented: service-time
+    /// inflation from kernel interference directly becomes drain time.
+    pub fn new(
+        nodes: usize,
+        iterations: u64,
+        requests_per_iter: u64,
+        machine: ksa_envsim::Machine,
+        virt: bool,
+        noise: bool,
+        seed: u64,
+    ) -> Self {
         Self {
-            nodes: 64,
-            iterations: 50,
-            requests_per_iter: 200,
-            node: SingleNodeConfig {
-                machine: ksa_envsim::Machine {
-                    cores: 24,
-                    mem_mib: 64 * 1024,
-                },
-                groups: 2,
-                virt,
-                noise,
-                requests: 0, // unused in batched mode
-                warmup: 0,
-                // BSP batches are throughput-oriented: clients push the
-                // servers near capacity, so service-time inflation from
-                // kernel interference directly becomes drain time.
-                util_pct: 92,
-                trace: false,
-                metrics: false,
-                seed,
-                spec: None,
-            },
+            nodes,
+            iterations,
+            requests_per_iter,
+            node: SingleNodeConfig::new(machine, 2, virt, noise, 92, seed),
             barrier_ns: 40_000, // ~40µs allreduce on a cluster fabric
             threads: 0,         // auto: results are thread-count-invariant
         }
     }
 
+    /// The paper's configuration: 64 nodes, 50 iterations, one NUMA
+    /// socket per app (modelled as a 24-core machine).
+    pub fn paper(virt: bool, noise: bool, seed: u64) -> Self {
+        let socket = ksa_envsim::Machine {
+            cores: 24,
+            mem_mib: 64 * 1024,
+        };
+        Self::new(64, 50, 200, socket, virt, noise, seed)
+    }
+
     /// Scaled-down configuration for tests.
     pub fn quick(virt: bool, noise: bool, seed: u64) -> Self {
-        Self {
-            nodes: 8,
-            iterations: 5,
-            requests_per_iter: 40,
-            node: SingleNodeConfig {
-                machine: ksa_envsim::Machine {
-                    cores: 8,
-                    mem_mib: 8 * 1024,
-                },
-                groups: 2,
-                virt,
-                noise,
-                requests: 0,
-                warmup: 0,
-                util_pct: 92,
-                trace: false,
-                metrics: false,
-                seed,
-                spec: None,
-            },
-            barrier_ns: 40_000,
-            threads: 0,
-        }
+        let machine = ksa_envsim::Machine {
+            cores: 8,
+            mem_mib: 8 * 1024,
+        };
+        Self::new(8, 5, 40, machine, virt, noise, seed)
     }
 }
 
@@ -165,50 +149,25 @@ impl ClusterResult {
             1.0
         }
     }
-
-    /// Mean iteration duration, defined (0) for zero-iteration runs.
-    pub fn mean_iteration_ns(&self) -> u64 {
-        if self.iteration_ns.is_empty() {
-            return 0;
-        }
-        (self.iteration_ns.iter().map(|&n| n as u128).sum::<u128>()
-            / self.iteration_ns.len() as u128) as u64
-    }
 }
 
 /// Runs `app` across the cluster and combines iteration times with
-/// barrier (max) semantics.
+/// barrier (max) semantics: [`run_cluster_faulted`] under an empty plan,
+/// which reduces exactly to that fold. A healthy run reports no fabric,
+/// coverage or trace.
 pub fn run_cluster(app: &AppProfile, cfg: &ClusterConfig, noise_corpus: &Corpus) -> ClusterResult {
-    // Each node simulation yields `iterations` durations.
-    let per_node = run_nodes(app, cfg, noise_corpus);
-    let metrics = merge_node_metrics(&per_node);
-    let events = per_node.iter().map(|(_, _, e)| e).sum();
-
-    let mut iteration_ns = Vec::with_capacity(cfg.iterations as usize);
-    for it in 0..cfg.iterations as usize {
-        let max = per_node
-            .iter()
-            .map(|(n, _, _)| n.get(it).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        iteration_ns.push(max + cfg.barrier_ns);
-    }
-    let total_ns = iteration_ns.iter().sum();
-    let mean_node_ns = {
-        let sums: Vec<Ns> = per_node.iter().map(|(n, _, _)| n.iter().sum()).collect();
-        let total: u128 = sums.iter().map(|&s| s as u128).sum();
-        (total / sums.len().max(1) as u128) as Ns + cfg.barrier_ns * cfg.iterations
-    };
+    let res = run_cluster_faulted(
+        app,
+        cfg,
+        noise_corpus,
+        &NodeFaultPlan::none(),
+        &FabricConfig::default(),
+    );
     ClusterResult {
-        app: app.name.to_string(),
-        iteration_ns,
-        total_ns,
-        mean_node_ns,
         fabric: None,
         coverage: CoverageSet::new(),
         trace: TraceLog::default(),
-        metrics,
-        events,
+        ..res
     }
 }
 

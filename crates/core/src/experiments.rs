@@ -206,23 +206,15 @@ pub struct Table2Result {
 }
 
 /// Runs Table 2: the corpus on all cores in the three headline
-/// environments (trials in parallel on the auto worker count).
-pub fn table2(corpus: &Corpus, scale: Scale, seed: u64) -> Table2Result {
-    table2_jobs(corpus, scale, seed, 0)
-}
-
-/// [`table2`] with an explicit `--jobs` worker count (0 = auto,
-/// 1 = sequential); results are identical for every count.
-pub fn table2_jobs(corpus: &Corpus, scale: Scale, seed: u64, jobs: usize) -> Table2Result {
-    table2_metered(corpus, scale, seed, jobs, false).0
-}
-
-/// [`table2_jobs`] with optional telemetry: when `metrics` is set every
+/// environments, trials in parallel on `jobs` pool workers (0 = auto,
+/// 1 = sequential; results are identical for every count).
+///
+/// Every artifact builder shares this contract: with `metrics` set each
 /// trial runs with its registry enabled and the returned [`Metered`]
-/// carries the merged series (labelled `env=<kind>`) plus latency-
-/// taxonomy flamegraph frames. Telemetry is strictly observational —
-/// the [`Table2Result`] is bit-identical either way.
-pub fn table2_metered(
+/// carries the merged series (here labelled `env=<kind>`) plus
+/// latency-taxonomy flamegraph frames. Telemetry is strictly
+/// observational — the artifact is bit-identical either way.
+pub fn table2(
     corpus: &Corpus,
     scale: Scale,
     seed: u64,
@@ -237,16 +229,7 @@ pub fn table2_metered(
     ];
     let configs: Vec<RunConfig> = kinds
         .iter()
-        .map(|&kind| RunConfig {
-            env: EnvSpec::new(machine, kind),
-            iterations: scale.iterations(),
-            sync: true,
-            seed,
-            max_events: 0,
-            trace: false,
-            metrics,
-            spec: None,
-        })
+        .map(|&kind| study_trial(scale, seed, metrics, kind))
         .collect();
     let results = expect_trials("table2", run_configs_jobs(&configs, corpus, jobs));
     let mut median = BucketTable::new("Table 2a: median system call runtimes (cumulative %)");
@@ -266,9 +249,9 @@ pub fn table2_metered(
     (Table2Result { median, p99, max }, metered)
 }
 
-/// Telemetry captured alongside an experiment when its `_metered`
-/// variant runs with `metrics` on: the trials' registries merged under
-/// distinguishing labels, plus flamegraph frames folded from the
+/// Telemetry captured alongside an experiment run with `metrics` on:
+/// the trials' registries merged under distinguishing labels, plus
+/// flamegraph frames folded from the
 /// aggregated 13-component latency taxonomy (see
 /// [`ksa_kernel::attribution_frames`]). Empty/disabled when metrics
 /// were off.
@@ -292,6 +275,16 @@ impl Metered {
     /// Folds the accumulated attribution into `frames`.
     fn finish(&mut self) {
         self.frames = attribution_frames(&self.attrib);
+    }
+}
+
+/// One syscall-study trial (Tables 2–3, Figure 2) of `kind` on the
+/// scale's machine for the scale's corpus iterations.
+fn study_trial(scale: Scale, seed: u64, metrics: bool, kind: EnvKind) -> RunConfig {
+    let env = EnvSpec::new(scale.machine(), kind);
+    RunConfig {
+        metrics,
+        ..RunConfig::new(env, scale.iterations(), seed)
     }
 }
 
@@ -331,20 +324,10 @@ pub struct Fig2Result {
 
 /// Runs Figure 2. Sites are filtered to those with native medians of at
 /// least 10µs, as in the paper (shorter ones are mostly the tiny mmaps
-/// feeding other calls and show no trend).
-pub fn fig2(corpus: &Corpus, scale: Scale, seed: u64) -> Fig2Result {
-    fig2_jobs(corpus, scale, seed, 0)
-}
-
-/// [`fig2`] with an explicit `--jobs` worker count. The native filter
-/// run and the whole VM sweep go through the pool as one batch.
-pub fn fig2_jobs(corpus: &Corpus, scale: Scale, seed: u64, jobs: usize) -> Fig2Result {
-    fig2_metered(corpus, scale, seed, jobs, false).0
-}
-
-/// [`fig2_jobs`] with optional telemetry (labels: `env=<kind>`); see
-/// [`table2_metered`] for the contract.
-pub fn fig2_metered(
+/// feeding other calls and show no trend). The native filter run and
+/// the whole VM sweep go through the pool as one batch. Telemetry
+/// labels: `env=<kind>`; see [`table2`] for the contract.
+pub fn fig2(
     corpus: &Corpus,
     scale: Scale,
     seed: u64,
@@ -355,26 +338,12 @@ pub fn fig2_metered(
     let sweep = vm_sweep(machine);
     // One batch: the native run (which decides the site filter) plus
     // every VM-sweep point.
-    let mut configs = vec![RunConfig {
-        env: EnvSpec::new(machine, EnvKind::Native),
-        iterations: scale.iterations(),
-        sync: true,
-        seed,
-        max_events: 0,
-        trace: false,
-        metrics,
-        spec: None,
-    }];
-    configs.extend(sweep.iter().map(|row| RunConfig {
-        env: EnvSpec::new(machine, EnvKind::Vm(row.count)),
-        iterations: scale.iterations(),
-        sync: true,
-        seed,
-        max_events: 0,
-        trace: false,
-        metrics,
-        spec: None,
-    }));
+    let mut configs = vec![study_trial(scale, seed, metrics, EnvKind::Native)];
+    configs.extend(
+        sweep
+            .iter()
+            .map(|row| study_trial(scale, seed, metrics, EnvKind::Vm(row.count))),
+    );
     let mut results = expect_trials("fig2", run_configs_jobs(&configs, corpus, jobs)).into_iter();
     let mut metered = Metered::default();
     let mut native = results.next().expect("fig2 native trial missing");
@@ -431,20 +400,9 @@ pub fn fig2_metered(
 // ---------------------------------------------------------------- Table 3
 
 /// Table 3: worst-case bucket percentages in Docker as the container
-/// count grows.
-pub fn table3(corpus: &Corpus, scale: Scale, seed: u64) -> BucketTable {
-    table3_jobs(corpus, scale, seed, 0)
-}
-
-/// [`table3`] with an explicit `--jobs` worker count: the container
-/// sweep runs as one parallel batch.
-pub fn table3_jobs(corpus: &Corpus, scale: Scale, seed: u64, jobs: usize) -> BucketTable {
-    table3_metered(corpus, scale, seed, jobs, false).0
-}
-
-/// [`table3_jobs`] with optional telemetry (labels: `env=<kind>`); see
-/// [`table2_metered`] for the contract.
-pub fn table3_metered(
+/// count grows; the container sweep runs as one parallel batch.
+/// Telemetry labels: `env=<kind>`; see [`table2`] for the contract.
+pub fn table3(
     corpus: &Corpus,
     scale: Scale,
     seed: u64,
@@ -455,16 +413,7 @@ pub fn table3_metered(
     let sweep = container_sweep(machine);
     let configs: Vec<RunConfig> = sweep
         .iter()
-        .map(|row| RunConfig {
-            env: EnvSpec::new(machine, EnvKind::Container(row.count)),
-            iterations: scale.iterations(),
-            sync: true,
-            seed,
-            max_events: 0,
-            trace: false,
-            metrics,
-            spec: None,
-        })
+        .map(|row| study_trial(scale, seed, metrics, EnvKind::Container(row.count)))
         .collect();
     let results = expect_trials("table3", run_configs_jobs(&configs, corpus, jobs));
     let mut metered = Metered::default();
@@ -520,24 +469,13 @@ fn pct_increase(base: u64, now: u64) -> f64 {
     }
 }
 
-/// Runs Figure 3 over the full suite (grid points in parallel on the
-/// auto worker count).
-pub fn fig3(noise: &Corpus, scale: Scale, seed: u64) -> Vec<Fig3Row> {
-    fig3_jobs(noise, scale, seed, 0)
-}
-
-/// [`fig3`] with an explicit `--jobs` worker count. The whole noise
-/// grid — apps × {KVM, Docker} × {isolated, noisy} × repetition seeds —
-/// is flattened into one batch of independent points for the pool;
-/// since point seeds are a pure function of grid position, the result
-/// rows are identical for every worker count.
-pub fn fig3_jobs(noise: &Corpus, scale: Scale, seed: u64, jobs: usize) -> Vec<Fig3Row> {
-    fig3_metered(noise, scale, seed, jobs, false).0
-}
-
-/// [`fig3_jobs`] with optional telemetry (labels: `app`, `virt`,
-/// `noise` per grid point); see [`table2_metered`] for the contract.
-pub fn fig3_metered(
+/// Runs Figure 3 over the full suite. The whole noise grid — apps ×
+/// {KVM, Docker} × {isolated, noisy} × repetition seeds — is flattened
+/// into one batch of independent points for the pool; since point seeds
+/// are a pure function of grid position, the result rows are identical
+/// for every worker count. Telemetry labels: `app`, `virt`, `noise` per
+/// grid point; see [`table2`] for the contract.
+pub fn fig3(
     noise: &Corpus,
     scale: Scale,
     seed: u64,
@@ -568,17 +506,10 @@ pub fn fig3_metered(
         ),
     };
     let mk_cfg = |virt: bool, with_noise: bool| SingleNodeConfig {
-        machine,
-        groups,
-        virt,
-        noise: with_noise,
         requests: scale.requests(),
         warmup: (scale.requests() / 10) as usize,
-        util_pct: 75,
-        trace: false,
         metrics,
-        seed,
-        spec: None,
+        ..SingleNodeConfig::new(machine, groups, virt, with_noise, 75, seed)
     };
     let reps = match scale {
         Scale::Tiny => 1,
@@ -639,6 +570,12 @@ pub fn fig3_metered(
     (rows, metered)
 }
 
+/// [`fig3`]'s rows without telemetry. The benchmark package's tests
+/// (`perfbench/`) call it by this name.
+pub fn fig3_jobs(noise: &Corpus, scale: Scale, seed: u64, jobs: usize) -> Vec<Fig3Row> {
+    fig3(noise, scale, seed, jobs, false).0
+}
+
 // ---------------------------------------------------------------- Figure 4
 
 /// One Figure 4 application row: total 64-node runtimes.
@@ -668,24 +605,13 @@ impl Fig4Row {
 }
 
 /// Runs Figure 4 over the cluster suite (no shore/specjbb, as in the
-/// paper), simulating nodes in parallel on the auto worker count.
-pub fn fig4(noise: &Corpus, scale: Scale, seed: u64) -> Vec<Fig4Row> {
-    fig4_jobs(noise, scale, seed, 0)
-}
-
-/// [`fig4`] with an explicit `--jobs` worker count for the per-node
-/// simulations (0 = auto, 1 = sequential); node seeds derive from node
-/// indices, so every count yields the same rows.
-pub fn fig4_jobs(noise: &Corpus, scale: Scale, seed: u64, jobs: usize) -> Vec<Fig4Row> {
-    fig4_metered(noise, scale, seed, jobs, false).0
-}
-
-/// [`fig4_jobs`] with optional telemetry. Per-node registries arrive
-/// already merged under `node=<i>` labels (see
-/// [`ksa_cluster::run_cluster`]); this adds `app`/`virt`/`noise` on
-/// top. Cluster runs carry no attribution table, so the metered frames
-/// stay empty.
-pub fn fig4_metered(
+/// paper), simulating nodes in parallel on `jobs` pool workers (0 =
+/// auto, 1 = sequential); node seeds derive from node indices, so every
+/// count yields the same rows. Per-node registries arrive already merged
+/// under `node=<i>` labels (see [`ksa_cluster::run_cluster`]); this adds
+/// `app`/`virt`/`noise` on top. Cluster runs carry no attribution table,
+/// so the metered frames stay empty.
+pub fn fig4(
     noise: &Corpus,
     scale: Scale,
     seed: u64,
@@ -707,25 +633,19 @@ pub fn fig4_metered(
             mem_mib: 64 * 1024,
         },
     };
-    let mk_cfg = |virt: bool, with_noise: bool| ClusterConfig {
-        nodes,
-        iterations,
-        requests_per_iter: per_iter,
-        node: SingleNodeConfig {
-            machine: node_machine,
-            groups: 2,
+    let mk_cfg = |virt: bool, with_noise: bool| {
+        let mut cfg = ClusterConfig::new(
+            nodes,
+            iterations,
+            per_iter,
+            node_machine,
             virt,
-            noise: with_noise,
-            requests: 0,
-            warmup: 0,
-            util_pct: 92,
-            trace: false,
-            metrics,
+            with_noise,
             seed,
-            spec: None,
-        },
-        barrier_ns: 40_000,
-        threads: jobs,
+        );
+        cfg.node.metrics = metrics;
+        cfg.threads = jobs;
+        cfg
     };
     let mut metered = Metered::default();
     let empty_attrib = AttributionTable::default();
@@ -754,6 +674,12 @@ pub fn fig4_metered(
         .collect();
     metered.finish();
     (rows, metered)
+}
+
+/// [`fig4`]'s rows without telemetry. The benchmark package's tests
+/// (`perfbench/`) call it by this name.
+pub fn fig4_jobs(noise: &Corpus, scale: Scale, seed: u64, jobs: usize) -> Vec<Fig4Row> {
+    fig4(noise, scale, seed, jobs, false).0
 }
 
 #[cfg(test)]
@@ -814,7 +740,7 @@ mod tests {
     #[test]
     fn table2_tiny_has_three_rows_each() {
         let corpus = default_corpus(Scale::Tiny);
-        let t2 = table2(&corpus.corpus, Scale::Tiny, 1);
+        let (t2, _) = table2(&corpus.corpus, Scale::Tiny, 1, 0, false);
         assert_eq!(t2.median.rows.len(), 3);
         assert_eq!(t2.p99.rows.len(), 3);
         assert_eq!(t2.max.rows.len(), 3);

@@ -25,7 +25,7 @@
 //! // Generate a small coverage-guided corpus and measure it natively
 //! // versus in 4 single-core VMs.
 //! let corpus = experiments::default_corpus(Scale::Tiny);
-//! let t2 = experiments::table2(&corpus.corpus, Scale::Tiny, 42);
+//! let (t2, _) = experiments::table2(&corpus.corpus, Scale::Tiny, 42, 0, false);
 //! println!("{}", t2.p99.render());
 //! ```
 

@@ -555,11 +555,6 @@ impl<'a, W> SimCtx<'a, W> {
         self.st.records.push(rec);
     }
 
-    /// Number of processes currently sleeping on `queue`.
-    pub fn queue_len(&self, queue: QueueId) -> usize {
-        self.st.queues[queue.0 as usize].waiting.len()
-    }
-
     /// The engine's fault-injection state.
     pub fn faults(&mut self) -> &mut FaultState {
         &mut self.st.faults
@@ -761,34 +756,15 @@ impl<W> Engine<W> {
         &mut self.world
     }
 
-    /// Consumes the engine and returns the world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> Ns {
         self.st.clock
-    }
-
-    /// Total CPU time stolen from `core` by interrupt handlers.
-    pub fn stolen_time(&self, core: CoreId) -> Ns {
-        self.st.cores[core.index()].stolen
     }
 
     /// `(acquisitions, contended)` counters for a lock.
     pub fn lock_stats(&self, lock: LockId) -> (u64, u64) {
         let l = &self.st.locks[lock.index()];
         (l.acquisitions, l.contended)
-    }
-
-    /// Iterates `(label, acquisitions, contended)` over every registered
-    /// lock — the raw material for contention attribution.
-    pub fn all_lock_stats(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
-        self.st
-            .locks
-            .iter()
-            .map(|l| (l.label, l.acquisitions, l.contended))
     }
 
     /// `(total_wait_ns, max_wait_ns)` for a lock (contended waits only).
@@ -837,11 +813,6 @@ impl<W> Engine<W> {
             enabled: cfg.enabled,
             rings: Vec::new(),
         };
-    }
-
-    /// The trace recorded so far.
-    pub fn trace_log(&self) -> &TraceLog {
-        &self.st.trace
     }
 
     /// Takes ownership of the recorded trace, leaving an empty one.
@@ -899,12 +870,6 @@ impl<W> Engine<W> {
     /// The fault-injection state (plan, hit counters, injected faults).
     pub fn fault_state(&self) -> &FaultState {
         &self.st.faults
-    }
-
-    /// Mutable fault-injection state (e.g. to inspect-and-reset between
-    /// runs of a long-lived engine).
-    pub fn fault_state_mut(&mut self) -> &mut FaultState {
-        &mut self.st.faults
     }
 
     /// Arms the livelock watchdog: a single `run`/`run_until` call may

@@ -20,15 +20,6 @@ impl Machine {
             mem_mib: 32 * 1024,
         }
     }
-
-    /// One NUMA socket of the paper's Chameleon nodes (24 cores / 48 HT
-    /// split per socket; each app pinned to one socket).
-    pub fn chameleon_socket() -> Self {
-        Self {
-            cores: 24,
-            mem_mib: 64 * 1024,
-        }
-    }
 }
 
 /// How the machine's kernel surface is divided.

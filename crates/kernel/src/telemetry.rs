@@ -138,12 +138,6 @@ impl KernelTelemetry {
         &self.reg
     }
 
-    /// Mutable registry access (harness-side enrichment, e.g. folding
-    /// engine lock-wait stats in after the run).
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.reg
-    }
-
     /// Refreshes every gauge, flushes a final ring sample at `now`, and
     /// takes the registry, leaving the facade disabled.
     pub fn finish(&mut self, now: Ns, instances: &[KernelInstance]) -> Registry {

@@ -61,9 +61,13 @@ impl KernelWorld {
         (idx, slot)
     }
 
-    /// Total syscalls dispatched across all instances.
-    pub fn total_syscalls(&self) -> u64 {
-        self.instances.iter().map(|i| i.syscalls).sum()
+    /// `(locks allocated, daemons spawned)` summed over every instance:
+    /// the static footprint a build leaves and specialization shrinks.
+    pub fn footprint(&self) -> (u32, u32) {
+        (
+            self.instances.iter().map(|i| i.locks_allocated).sum(),
+            self.instances.iter().map(|i| i.daemons_spawned).sum(),
+        )
     }
 
     /// Records one completed syscall in both the attribution table and

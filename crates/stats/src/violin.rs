@@ -66,11 +66,6 @@ impl ViolinSummary {
         })
     }
 
-    /// Interquartile range (q3 - q1).
-    pub fn iqr(&self) -> u64 {
-        self.q3 - self.q1
-    }
-
     /// Fraction of KDE mass in the top decade below the max — a scalar proxy
     /// for the "thick upper tail" the paper reads off the violins.
     pub fn upper_tail_mass(&self) -> f64 {

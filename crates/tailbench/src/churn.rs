@@ -118,13 +118,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
         Engine::new(KernelWorld::new(), EngineParams::default(), cfg.seed);
     let spec = EnvSpec::new(cfg.machine, cfg.kind);
     let built = build_env_with(&mut engine, &spec, cfg.seed, cfg.spec);
-    let (locks_allocated, daemons_spawned) = {
-        let k = engine.world();
-        (
-            k.instances.iter().map(|i| i.locks_allocated).sum(),
-            k.instances.iter().map(|i| i.daemons_spawned).sum(),
-        )
-    };
+    let (locks_allocated, daemons_spawned) = engine.world().footprint();
     spawn_churn_hosts(&mut engine, &built, &cfg.params, cfg.seed);
     let res = engine
         .run()

@@ -13,6 +13,7 @@ use ksa_envsim::{build_env_with, EnvKind, EnvSpec, Machine};
 use ksa_kernel::prog::Corpus;
 use ksa_kernel::{AttributionTable, SpecMask};
 use ksa_stats::Samples;
+use ksa_varbench::harvest;
 use ksa_varbench::worker::{site_bases, CorpusWorker};
 
 use crate::apps::AppProfile;
@@ -52,19 +53,27 @@ pub struct SingleNodeConfig {
 }
 
 impl SingleNodeConfig {
-    /// The paper's Figure 3 configuration.
-    pub fn paper(virt: bool, noise: bool, seed: u64) -> Self {
+    /// A node on `machine` split `groups` ways, clients targeting
+    /// `util_pct` utilization, with no open-loop requests yet (batched
+    /// cluster nodes need none; Figure 3 points set `requests` and
+    /// `warmup` with struct-update syntax). Tracing, telemetry and
+    /// specialization are off.
+    pub fn new(
+        machine: Machine,
+        groups: usize,
+        virt: bool,
+        noise: bool,
+        util_pct: u64,
+        seed: u64,
+    ) -> Self {
         Self {
-            machine: Machine {
-                cores: 64,
-                mem_mib: 64 * 1024,
-            },
-            groups: 4,
+            machine,
+            groups,
             virt,
             noise,
-            requests: 2_000,
-            warmup: 200,
-            util_pct: 75,
+            requests: 0,
+            warmup: 0,
+            util_pct,
             seed,
             trace: false,
             metrics: false,
@@ -72,23 +81,29 @@ impl SingleNodeConfig {
         }
     }
 
+    /// The paper's Figure 3 configuration.
+    pub fn paper(virt: bool, noise: bool, seed: u64) -> Self {
+        let machine = Machine {
+            cores: 64,
+            mem_mib: 64 * 1024,
+        };
+        Self {
+            requests: 2_000,
+            warmup: 200,
+            ..Self::new(machine, 4, virt, noise, 75, seed)
+        }
+    }
+
     /// A scaled-down configuration for tests.
     pub fn quick(virt: bool, noise: bool, seed: u64) -> Self {
+        let machine = Machine {
+            cores: 16,
+            mem_mib: 8 * 1024,
+        };
         Self {
-            machine: Machine {
-                cores: 16,
-                mem_mib: 8 * 1024,
-            },
-            groups: 4,
-            virt,
-            noise,
             requests: 300,
             warmup: 30,
-            util_pct: 75,
-            seed,
-            trace: false,
-            metrics: false,
-            spec: None,
+            ..Self::new(machine, 4, virt, noise, 75, seed)
         }
     }
 }
@@ -264,14 +279,7 @@ fn run_node(
     };
     let spec = EnvSpec::new(cfg.machine, kind);
     let built = build_env_with(&mut engine, &spec, cfg.seed, cfg.spec);
-    let (locks_allocated, daemons_spawned) = {
-        use ksa_kernel::world::HasKernel;
-        let k = engine.world().kernel();
-        (
-            k.instances.iter().map(|i| i.locks_allocated).sum(),
-            k.instances.iter().map(|i| i.daemons_spawned).sum(),
-        )
-    };
+    let (locks_allocated, daemons_spawned) = engine.world().kernel.footprint();
     if cfg.trace {
         engine.set_trace(TraceConfig::enabled());
     }
@@ -364,24 +372,7 @@ fn run_node(
     let mut samples = Samples::from_values(kept);
     let p99 = samples.p99().unwrap_or(0);
     let trace = engine.take_trace();
-    let now = engine.now();
-    let kernel_metrics = {
-        let kw = &mut engine.world_mut().kernel;
-        kw.metrics.finish(now, &kw.instances)
-    };
-    let mut metrics = engine.take_telemetry();
-    if metrics.enabled() {
-        for (label, acq, cont, total_wait, _max, _hist) in engine.all_lock_wait_stats() {
-            let labels = [("label", label.to_string())];
-            let a = metrics.counter("lock_acquisitions", &labels);
-            let c = metrics.counter("lock_contended", &labels);
-            let w = metrics.counter("lock_wait_ns", &labels);
-            metrics.add(a, acq);
-            metrics.add(c, cont);
-            metrics.add(w, total_wait);
-        }
-    }
-    metrics.absorb(&kernel_metrics, &[]);
+    let (metrics, _) = harvest(&mut engine);
     let request_attrib = std::mem::take(&mut engine.world_mut().request_attrib);
     let noise_attrib = std::mem::take(&mut engine.world_mut().kernel.attrib);
     let client_retries = engine.world().client_retries;

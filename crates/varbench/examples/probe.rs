@@ -35,16 +35,7 @@ fn main() {
     ] {
         let t = std::time::Instant::now();
         let mut res = run(
-            &RunConfig {
-                env: EnvSpec::new(machine, kind),
-                iterations: 20,
-                sync: true,
-                seed: 7,
-                max_events: 0,
-                trace: false,
-                metrics: false,
-                spec: None,
-            },
+            &RunConfig::new(EnvSpec::new(machine, kind), 20, 7),
             &gen.corpus,
         )
         .expect("trial failed");
@@ -71,16 +62,7 @@ fn main() {
 
     // Worst native sites by median, to see what dominates contention.
     let mut res = run(
-        &RunConfig {
-            env: EnvSpec::new(machine, EnvKind::Native),
-            iterations: 20,
-            sync: true,
-            seed: 7,
-            max_events: 0,
-            trace: false,
-            metrics: false,
-            spec: None,
-        },
+        &RunConfig::new(EnvSpec::new(machine, EnvKind::Native), 20, 7),
         &gen.corpus,
     )
     .expect("trial failed");

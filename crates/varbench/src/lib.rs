@@ -9,8 +9,9 @@
 //! latent variability measurable.
 //!
 //! Each worker records one latency sample per `(program, call index)`
-//! site per iteration; [`run`] aggregates them into per-site
-//! distributions tagged with the syscall and its categories.
+//! site per iteration; [`run()`] aggregates them into per-site
+//! distributions tagged with the syscall and its categories, and
+//! [`run_campaign`] runs many such trials on the deterministic pool.
 
 pub mod contention;
 pub mod run;
@@ -19,9 +20,8 @@ pub mod worker;
 
 pub use contention::{ContentionProfile, LockContention};
 pub use run::{
-    outcomes_to_json, run, run_configs, run_configs_hooked, run_configs_jobs, run_configs_retry,
-    run_configs_retry_jobs, run_hooked, run_isolated, RunConfig, RunError, RunResult, SiteResult,
-    TrialOutcome,
+    harvest, outcomes_to_json, run, run_campaign, run_configs_jobs, run_hooked, RunConfig,
+    RunError, RunResult, SiteResult, TrialOutcome,
 };
 pub use traceout::{attribution_json, chrome_trace_json};
 pub use worker::CorpusWorker;

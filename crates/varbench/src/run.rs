@@ -4,19 +4,18 @@
 //! deadlocks, livelocks or panics must not take the rest of a
 //! measurement campaign with it, and independent trials must not wait on
 //! each other. [`run`] returns `Result` instead of panicking;
-//! [`run_configs`] executes trials concurrently on the deterministic
-//! trial pool ([`ksa_desim::pool`]) with each trial isolated
-//! behind `catch_unwind`; [`run_configs_retry`] re-runs failed trials a
-//! bounded number of times under derived seeds while preserving every
-//! completed result. Worker counts come from the caller (`--jobs`) or
-//! the `KSA_JOBS` environment variable; `jobs == 1` is the sequential
-//! baseline, and for every worker count the output vector is
-//! **bit-identical** to that baseline (the engine is single-threaded per
-//! trial, so parallelism across trials cannot perturb simulated time —
+//! [`run_campaign`] executes trials concurrently on the deterministic
+//! trial pool ([`ksa_desim::pool`]) with each trial isolated behind
+//! `catch_unwind`, and re-runs failed trials a bounded number of times
+//! under derived seeds while preserving every completed result. Worker
+//! counts come from the caller (`--jobs`) or the `KSA_JOBS` environment
+//! variable; `jobs == 1` is the sequential baseline, and for every
+//! worker count the output vector is **bit-identical** to that baseline
+//! (the engine is single-threaded per trial, so parallelism across
+//! trials cannot perturb simulated time —
 //! `parallel_runner_matches_sequential_bit_identically` in
 //! `tests/properties.rs` pins this).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use ksa_desim::{Engine, EngineParams, SimError, TraceConfig, TraceLog};
@@ -65,6 +64,24 @@ pub struct RunConfig {
     pub spec: Option<SpecMask>,
 }
 
+impl RunConfig {
+    /// The paper's trial on `env`: barrier-synchronized starts, no
+    /// watchdog, no trace, no telemetry, the unspecialized kernel.
+    /// Override single fields with struct-update syntax.
+    pub fn new(env: EnvSpec, iterations: usize, seed: u64) -> Self {
+        Self {
+            env,
+            iterations,
+            sync: true,
+            seed,
+            max_events: 0,
+            trace: false,
+            metrics: false,
+            spec: None,
+        }
+    }
+}
+
 /// Why a trial failed.
 #[derive(Debug)]
 pub enum RunError {
@@ -92,7 +109,7 @@ impl From<SimError> for RunError {
     }
 }
 
-/// One trial's final outcome under [`run_configs_retry`].
+/// One trial's final outcome under [`run_campaign`].
 #[derive(Debug)]
 pub struct TrialOutcome {
     /// The last attempt's result.
@@ -156,11 +173,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Iterates over sites in `cat`.
-    pub fn sites_in(&self, cat: Category) -> impl Iterator<Item = &SiteResult> {
-        self.sites.iter().filter(move |s| s.in_category(cat))
-    }
-
     /// Collects one summary value per site via `f` (e.g. median or max),
     /// optionally filtered to a category.
     pub fn per_site(
@@ -279,31 +291,8 @@ fn run_hooked_shared(
     for s in &mut sites {
         s.samples.freeze();
     }
-    let mut contention = ContentionProfile::default();
-    for (label, acq, cont, total_wait, max_wait, _hist) in engine.all_lock_wait_stats() {
-        contention.add_waits(label, acq, cont, total_wait, max_wait);
-    }
     let trace = engine.take_trace();
-    let now = engine.now();
-    let kernel_metrics = {
-        let kw = engine.world_mut().kernel_mut();
-        kw.metrics.finish(now, &kw.instances)
-    };
-    let mut metrics = engine.take_telemetry();
-    if metrics.enabled() {
-        // Fold the engine's per-label lock-wait stats in: the "lockstat"
-        // view of software interference, grouped by lock label.
-        for (label, acq, cont, total_wait, _max, _hist) in engine.all_lock_wait_stats() {
-            let labels = [("label", label.to_string())];
-            let a = metrics.counter("lock_acquisitions", &labels);
-            let c = metrics.counter("lock_contended", &labels);
-            let w = metrics.counter("lock_wait_ns", &labels);
-            metrics.add(a, acq);
-            metrics.add(c, cont);
-            metrics.add(w, total_wait);
-        }
-    }
-    metrics.absorb(&kernel_metrics, &[]);
+    let (metrics, contention) = harvest(&mut engine);
     let attrib = std::mem::take(&mut engine.world_mut().kernel_mut().attrib);
     Ok(RunResult {
         config: *cfg,
@@ -317,14 +306,36 @@ fn run_hooked_shared(
     })
 }
 
-/// Runs one trial with panic isolation: a panic anywhere inside the
-/// engine or the handlers becomes a [`RunError::Panicked`] instead of
-/// unwinding into the caller.
-pub fn run_isolated(cfg: &RunConfig, corpus: &Corpus) -> Result<RunResult, RunError> {
-    match catch_unwind(AssertUnwindSafe(|| run(cfg, corpus))) {
-        Ok(r) => r,
-        Err(payload) => Err(RunError::Panicked(panic_message(payload.as_ref()))),
+/// The post-run harvest every trial driver shares. Closes the kernel's
+/// telemetry at the final clock, takes the engine's registry and, when
+/// telemetry is on, folds in each lock label's `lock_acquisitions`,
+/// `lock_contended` and `lock_wait_ns` counters (the "lockstat" view of
+/// software interference) before absorbing the kernel series. The same
+/// pass over the engine's locks fills the contention profile.
+pub fn harvest<W: HasKernel>(engine: &mut Engine<W>) -> (Registry, ContentionProfile) {
+    let now = engine.now();
+    let kernel_metrics = {
+        let kw = engine.world_mut().kernel_mut();
+        kw.metrics.finish(now, &kw.instances)
+    };
+    let mut metrics = engine.take_telemetry();
+    let mut contention = ContentionProfile::default();
+    for (label, acq, cont, total_wait, max_wait, _hist) in engine.all_lock_wait_stats() {
+        contention.add_waits(label, acq, cont, total_wait, max_wait);
+        if metrics.enabled() {
+            let labels = [("label", label.to_string())];
+            for (name, v) in [
+                ("lock_acquisitions", acq),
+                ("lock_contended", cont),
+                ("lock_wait_ns", total_wait),
+            ] {
+                let id = metrics.counter(name, &labels);
+                metrics.add(id, v);
+            }
+        }
     }
+    metrics.absorb(&kernel_metrics, &[]);
+    (metrics, contention)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -337,58 +348,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs several configurations concurrently on the deterministic
-/// trial pool, with results in input order. Worker count is the
-/// auto default (`KSA_JOBS` or available parallelism); see
-/// [`run_configs_jobs`] for an explicit `--jobs` knob. Each trial is
-/// panic-isolated: one failing trial never discards the others' results.
-pub fn run_configs(configs: &[RunConfig], corpus: &Corpus) -> Vec<Result<RunResult, RunError>> {
-    run_configs_jobs(configs, corpus, 0)
-}
-
-/// Like [`run_configs`] with an explicit worker count (`0` = auto,
-/// `1` = strictly sequential on the calling thread). Every worker count
-/// produces a bit-identical output vector: the engine is single-threaded
-/// per trial and results land in index-addressed slots.
+/// [`run_campaign`] without a hook or retries, results only. The
+/// benchmark package (`perfbench/`) calls it by this name.
 pub fn run_configs_jobs(
     configs: &[RunConfig],
     corpus: &Corpus,
     jobs: usize,
 ) -> Vec<Result<RunResult, RunError>> {
-    run_configs_hooked(configs, corpus, jobs, &|_, _| {})
-}
-
-/// The fully general campaign runner: [`run_configs_jobs`] plus a
-/// per-trial engine hook (`hook(trial_index, &mut engine)`) applied
-/// after the environment is built and before workers spawn — how a
-/// campaign installs [`ksa_desim::FaultPlan`]s or ablation overrides on
-/// specific trials. The hook must be `Sync`: it is shared by all pool
-/// workers (each invocation still runs on exactly one trial's thread).
-pub fn run_configs_hooked<H>(
-    configs: &[RunConfig],
-    corpus: &Corpus,
-    jobs: usize,
-    hook: &H,
-) -> Vec<Result<RunResult, RunError>>
-where
-    H: Fn(usize, &mut Engine<KernelWorld>) + Sync,
-{
-    let shared = SharedCorpus::new(corpus);
-    let shared = &shared;
-    let tasks: Vec<_> = configs
-        .iter()
-        .enumerate()
-        .map(|(i, cfg)| move || run_hooked_shared(cfg, shared, |engine| hook(i, engine)))
-        .collect();
-    ksa_desim::pool::run_tasks(jobs, tasks)
+    run_campaign(configs, corpus, jobs, 0, &|_, _| {})
         .into_iter()
-        .map(|r| match r {
-            Ok(res) => res,
-            // The pool already ran the trial under catch_unwind; a
-            // payload here is the trial's own panic. Report it in the
-            // trial's slot rather than propagating.
-            Err(payload) => Err(RunError::Panicked(panic_message(payload.as_ref()))),
-        })
+        .map(|o| o.result)
         .collect()
 }
 
@@ -400,32 +369,64 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Like [`run_configs`], but failed trials are retried up to
-/// `max_retries` times under derived seeds (`seed ^ splitmix64(attempt)`)
-/// so a seed-dependent pathology doesn't permanently lose the trial.
-/// Completed trials are never re-run; every attempt's error is kept for
-/// the report.
-pub fn run_configs_retry(
+/// The campaign runner: runs every configuration as one trial on the
+/// deterministic trial pool (`jobs` workers; `0` = auto, `1` = strictly
+/// sequential on the calling thread), outcomes in input order.
+///
+/// * `hook(i, &mut engine)` runs on trial `i`'s engine after the
+///   environment is built and before workers spawn — how a campaign
+///   installs [`ksa_desim::FaultPlan`]s or ablation overrides on
+///   specific trials. It always receives the trial's *input* index, on
+///   every attempt, and must be `Sync`: all pool workers share it.
+/// * Each trial is panic-isolated: a panic becomes
+///   [`RunError::Panicked`] in that trial's slot, and the other trials
+///   complete.
+/// * Failed trials are retried up to `max_retries` times under derived
+///   seeds (`seed ^ splitmix64(attempt)`), so a seed-dependent pathology
+///   doesn't permanently lose the trial. Retries re-run only the failed
+///   indices, completed trials are never re-run, and every earlier
+///   attempt's error is kept for the report.
+///
+/// Every worker count produces a bit-identical outcome vector: the
+/// engine is single-threaded per trial, results land in index-addressed
+/// slots, and retry seeds derive from the input config, never from
+/// execution order.
+pub fn run_campaign<H>(
     configs: &[RunConfig],
     corpus: &Corpus,
-    max_retries: u32,
-) -> Vec<TrialOutcome> {
-    run_configs_retry_jobs(configs, corpus, max_retries, 0)
-}
-
-/// [`run_configs_retry`] with an explicit pool worker count (`0` = auto,
-/// `1` = sequential). Retry semantics are identical for every worker
-/// count: outcome `i` always corresponds to input config `i`, retries
-/// re-run only failed indices, and retry seeds derive from the *input*
-/// config's seed — never from execution order.
-pub fn run_configs_retry_jobs(
-    configs: &[RunConfig],
-    corpus: &Corpus,
-    max_retries: u32,
     jobs: usize,
-) -> Vec<TrialOutcome> {
-    let first = run_configs_jobs(configs, corpus, jobs);
-    let mut outcomes: Vec<TrialOutcome> = first
+    max_retries: u32,
+    hook: &H,
+) -> Vec<TrialOutcome>
+where
+    H: Fn(usize, &mut Engine<KernelWorld>) + Sync,
+{
+    let shared = SharedCorpus::new(corpus);
+    let run_batch = |indices: &[usize], attempt: u32| {
+        let shared = &shared;
+        let tasks: Vec<_> = indices
+            .iter()
+            .map(|&i| {
+                let mut cfg = configs[i];
+                if attempt > 0 {
+                    cfg.seed ^= splitmix64(attempt as u64);
+                }
+                move || run_hooked_shared(&cfg, shared, |engine| hook(i, engine))
+            })
+            .collect();
+        ksa_desim::pool::run_tasks(jobs, tasks)
+            .into_iter()
+            .map(|r| match r {
+                Ok(res) => res,
+                // The pool already ran the trial under catch_unwind; a
+                // payload here is the trial's own panic. Report it in the
+                // trial's slot rather than propagating.
+                Err(payload) => Err(RunError::Panicked(panic_message(payload.as_ref()))),
+            })
+            .collect::<Vec<_>>()
+    };
+    let all: Vec<usize> = (0..configs.len()).collect();
+    let mut outcomes: Vec<TrialOutcome> = run_batch(&all, 0)
         .into_iter()
         .map(|result| TrialOutcome {
             result,
@@ -433,28 +434,16 @@ pub fn run_configs_retry_jobs(
             failures: Vec::new(),
         })
         .collect();
-    for attempt in 1..=max_retries {
-        let retry_idx: Vec<usize> = outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.result.is_err())
-            .map(|(i, _)| i)
+    for n in 1..=max_retries {
+        let failed: Vec<usize> = (0..outcomes.len())
+            .filter(|&i| outcomes[i].result.is_err())
             .collect();
-        if retry_idx.is_empty() {
+        if failed.is_empty() {
             break;
         }
-        let retry_cfgs: Vec<RunConfig> = retry_idx
-            .iter()
-            .map(|&i| RunConfig {
-                seed: configs[i].seed ^ splitmix64(attempt as u64),
-                ..configs[i]
-            })
-            .collect();
-        let results = run_configs_jobs(&retry_cfgs, corpus, jobs);
-        for (&i, result) in retry_idx.iter().zip(results) {
+        for (&i, result) in failed.iter().zip(run_batch(&failed, n)) {
             let o = &mut outcomes[i];
-            let prev = std::mem::replace(&mut o.result, result);
-            if let Err(e) = prev {
+            if let Err(e) = std::mem::replace(&mut o.result, result) {
                 o.failures.push(e);
             }
             o.attempts += 1;
@@ -508,6 +497,7 @@ mod tests {
     use super::*;
     use ksa_envsim::{EnvKind, Machine};
     use ksa_kernel::{Arg, Call, Program};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn tiny_corpus() -> Corpus {
         Corpus {
@@ -537,23 +527,14 @@ mod tests {
     }
 
     fn cfg(kind: EnvKind, iters: usize) -> RunConfig {
-        RunConfig {
-            env: EnvSpec::new(
-                Machine {
-                    cores: 4,
-                    mem_mib: 1024,
-                },
-                kind,
-            ),
-            iterations: iters,
-            sync: true,
-            seed: 99,
-            max_events: 0,
-            trace: false,
-            metrics: false,
-            spec: None,
-        }
+        let machine = Machine {
+            cores: 4,
+            mem_mib: 1024,
+        };
+        RunConfig::new(EnvSpec::new(machine, kind), iters, 99)
     }
+
+    fn no_hook(_: usize, _: &mut Engine<KernelWorld>) {}
 
     #[test]
     fn run_collects_all_samples() {
@@ -707,7 +688,7 @@ mod tests {
     fn parallel_configs_match_serial() {
         let corpus = tiny_corpus();
         let cfgs = [cfg(EnvKind::Native, 2), cfg(EnvKind::Vm(2), 2)];
-        let par = run_configs(&cfgs, &corpus);
+        let par = run_configs_jobs(&cfgs, &corpus, 0);
         let ser: Vec<RunResult> = cfgs.iter().map(|c| run(c, &corpus).unwrap()).collect();
         for (p, s) in par.iter().zip(&ser) {
             assert_eq!(p.as_ref().unwrap().sim_ns, s.sim_ns);
@@ -746,7 +727,7 @@ mod tests {
             },
             cfg(EnvKind::Container(4), 2),
         ];
-        let results = run_configs(&cfgs, &corpus);
+        let results = run_configs_jobs(&cfgs, &corpus, 0);
         assert_eq!(results.len(), 3);
         let ok = results[0].as_ref().unwrap();
         assert_eq!(ok.sites.len(), 8);
@@ -770,7 +751,7 @@ mod tests {
                 ..cfg(EnvKind::Native, 2)
             },
         ];
-        let outcomes = run_configs_retry(&cfgs, &corpus, 2);
+        let outcomes = run_campaign(&cfgs, &corpus, 0, 2, &no_hook);
         assert_eq!(outcomes.len(), 2);
         // Trial 0 succeeded first try; no retries, no recorded failures.
         assert_eq!(outcomes[0].attempts, 1);
@@ -821,7 +802,7 @@ mod tests {
             },
         ];
         for jobs in [1usize, 4] {
-            let outcomes = run_configs_retry_jobs(&cfgs, &corpus, 1, jobs);
+            let outcomes = run_campaign(&cfgs, &corpus, jobs, 1, &no_hook);
             assert_eq!(outcomes.len(), cfgs.len(), "jobs={jobs}");
             for (i, (o, input)) in outcomes.iter().zip(&cfgs).enumerate() {
                 if input.max_events > 0 {
@@ -893,13 +874,14 @@ mod tests {
             cfg(EnvKind::Native, 3),
         ];
         for jobs in [1usize, 3] {
-            let results = run_configs_hooked(&cfgs, &corpus, jobs, &|i, _| {
+            let outcomes = run_campaign(&cfgs, &corpus, jobs, 0, &|i, _| {
                 if i == 1 {
                     panic!("poisoned trial {i}");
                 }
             });
-            assert_eq!(results.len(), 4);
-            for (i, r) in results.iter().enumerate() {
+            assert_eq!(outcomes.len(), 4);
+            for (i, o) in outcomes.iter().enumerate() {
+                let r = &o.result;
                 if i == 1 {
                     match r {
                         Err(RunError::Panicked(msg)) => {
@@ -923,9 +905,33 @@ mod tests {
         // with a sane config succeeds on attempt 1 and is never re-run.
         // Here we check the bookkeeping when everything succeeds.
         let corpus = tiny_corpus();
-        let outcomes = run_configs_retry(&[cfg(EnvKind::Native, 2)], &corpus, 3);
+        let outcomes = run_campaign(&[cfg(EnvKind::Native, 2)], &corpus, 0, 3, &no_hook);
         assert_eq!(outcomes[0].attempts, 1);
         assert!(outcomes[0].ok().is_some());
+    }
+
+    #[test]
+    fn retries_hand_the_hook_the_input_index() {
+        // Slot 1 fails on every seed; its retries must reach the hook as
+        // index 1, not as its position 0 in the retry batch.
+        let corpus = tiny_corpus();
+        let cfgs = [
+            cfg(EnvKind::Native, 2),
+            RunConfig {
+                max_events: 50,
+                ..cfg(EnvKind::Native, 2)
+            },
+        ];
+        for jobs in [1usize, 2] {
+            let seen = std::sync::Mutex::new(Vec::new());
+            let outcomes = run_campaign(&cfgs, &corpus, jobs, 2, &|i, _| {
+                seen.lock().unwrap().push(i);
+            });
+            assert_eq!(outcomes[1].attempts, 3, "jobs={jobs}");
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            assert_eq!(seen, [0, 1, 1, 1], "jobs={jobs}");
+        }
     }
 
     #[test]
@@ -938,7 +944,7 @@ mod tests {
                 ..cfg(EnvKind::Native, 2)
             },
         ];
-        let outcomes = run_configs_retry(&cfgs, &corpus, 1);
+        let outcomes = run_campaign(&cfgs, &corpus, 0, 1, &no_hook);
         let json = outcomes_to_json(&outcomes);
         let v = ksa_json::parse(&json).unwrap();
         let arr = v.as_array().unwrap();

@@ -18,7 +18,7 @@
 use ksa_kernel::coverage::{self, BlockId};
 use ksa_kernel::prog::Corpus;
 use ksa_kernel::{Arg, Call, Program, SysNo};
-use ksa_varbench::{run_configs_hooked, RunConfig, RunError};
+use ksa_varbench::{run_campaign, run_configs_jobs, RunConfig, RunError};
 
 use ksa_envsim::{EnvKind, EnvSpec, Machine};
 
@@ -44,22 +44,17 @@ fn tiny_corpus() -> Corpus {
 }
 
 fn cfg(seed: u64) -> RunConfig {
-    RunConfig {
-        env: EnvSpec::new(
+    RunConfig::new(
+        EnvSpec::new(
             Machine {
                 cores: 4,
                 mem_mib: 1024,
             },
             EnvKind::Native,
         ),
-        iterations: 3,
-        sync: true,
+        3,
         seed,
-        max_events: 0,
-        trace: false,
-        metrics: false,
-        spec: None,
-    }
+    )
 }
 
 #[test]
@@ -69,7 +64,7 @@ fn panicking_trial_does_not_poison_sibling_coverage() {
     // concurrently with real coverage-recording siblings.
     let cfgs: Vec<RunConfig> = (0..6).map(|i| cfg(1000 + i)).collect();
     let poison_at = 0usize; // first trial poisons at campaign start
-    let results = run_configs_hooked(&cfgs, &corpus, 4, &|i, _engine| {
+    let outcomes = run_campaign(&cfgs, &corpus, 4, 0, &|i, _engine| {
         if i == poison_at {
             // The historical poison vector: a diagnostic reverse lookup
             // on a corrupted id used to index out of bounds while the
@@ -79,8 +74,9 @@ fn panicking_trial_does_not_poison_sibling_coverage() {
         }
     });
 
-    assert_eq!(results.len(), cfgs.len());
-    for (i, r) in results.iter().enumerate() {
+    assert_eq!(outcomes.len(), cfgs.len());
+    for (i, o) in outcomes.iter().enumerate() {
+        let r = &o.result;
         if i == poison_at {
             match r {
                 Err(RunError::Panicked(msg)) => {
@@ -134,8 +130,8 @@ fn campaign_coverage_is_identical_across_pool_widths() {
     // within one, so coverage-guided behaviour cannot diverge).
     let corpus = tiny_corpus();
     let cfgs: Vec<RunConfig> = (0..4).map(|i| cfg(2000 + i)).collect();
-    let seq = run_configs_hooked(&cfgs, &corpus, 1, &|_, _| {});
-    let par = run_configs_hooked(&cfgs, &corpus, 4, &|_, _| {});
+    let seq = run_configs_jobs(&cfgs, &corpus, 1);
+    let par = run_configs_jobs(&cfgs, &corpus, 4);
     for (i, (a, b)) in seq.iter().zip(&par).enumerate() {
         let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
         assert_eq!(a.sim_ns, b.sim_ns, "slot {i}");

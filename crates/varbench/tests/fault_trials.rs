@@ -34,22 +34,17 @@ fn corpus() -> Corpus {
 }
 
 fn cfg(seed: u64) -> RunConfig {
-    RunConfig {
-        env: EnvSpec::new(
+    RunConfig::new(
+        EnvSpec::new(
             Machine {
                 cores: 4,
                 mem_mib: 2048,
             },
             EnvKind::Native,
         ),
-        iterations: 6,
-        sync: true,
+        6,
         seed,
-        max_events: 0,
-        trace: false,
-        metrics: false,
-        spec: None,
-    }
+    )
 }
 
 fn run_with_plan(seed: u64, plan: FaultPlan) -> RunResult {

@@ -19,16 +19,7 @@ fn main() {
     };
     for kind in [EnvKind::Native, EnvKind::Vm(8)] {
         let res = run(
-            &RunConfig {
-                env: EnvSpec::new(machine, kind),
-                iterations: 8,
-                sync: true,
-                seed: 77,
-                max_events: 0,
-                trace: false,
-                metrics: false,
-                spec: None,
-            },
+            &RunConfig::new(EnvSpec::new(machine, kind), 8, 77),
             &corpus.corpus,
         )
         .expect("trial failed");

@@ -34,7 +34,7 @@ fn main() {
         n *= 2;
     }
 
-    let result = fig2(&corpus.corpus, scale, 11);
+    let (result, _) = fig2(&corpus.corpus, scale, 11, 0, false);
     println!();
     for cat in &result.categories {
         println!(

@@ -18,16 +18,7 @@ fn corpus_to_measurement_pipeline() {
         mem_mib: 4 * 1024,
     };
     let mut res = run(
-        &RunConfig {
-            env: EnvSpec::new(machine, EnvKind::Native),
-            iterations: 3,
-            sync: true,
-            seed: 1,
-            max_events: 0,
-            trace: false,
-            metrics: false,
-            spec: None,
-        },
+        &RunConfig::new(EnvSpec::new(machine, EnvKind::Native), 3, 1),
         &corpus.corpus,
     )
     .expect("trial failed");
@@ -53,16 +44,7 @@ fn isolation_bounds_the_tail() {
     };
     let run_kind = |kind| {
         let mut r = run(
-            &RunConfig {
-                env: EnvSpec::new(machine, kind),
-                iterations: 5,
-                sync: true,
-                seed: 3,
-                max_events: 0,
-                trace: false,
-                metrics: false,
-                spec: None,
-            },
+            &RunConfig::new(EnvSpec::new(machine, kind), 5, 3),
             &corpus.corpus,
         )
         .expect("trial failed");
@@ -89,16 +71,7 @@ fn virtualization_costs_at_the_median() {
     };
     let run_kind = |kind| {
         let mut r = run(
-            &RunConfig {
-                env: EnvSpec::new(machine, kind),
-                iterations: 4,
-                sync: true,
-                seed: 4,
-                max_events: 0,
-                trace: false,
-                metrics: false,
-                spec: None,
-            },
+            &RunConfig::new(EnvSpec::new(machine, kind), 4, 4),
             &corpus.corpus,
         )
         .expect("trial failed");
@@ -129,7 +102,7 @@ fn surface_area_api_is_consistent_with_envs() {
 #[test]
 fn experiments_table2_runs_at_tiny_scale() {
     let corpus = experiments::default_corpus(Scale::Tiny);
-    let t2 = experiments::table2(&corpus.corpus, Scale::Tiny, 5);
+    let (t2, _) = experiments::table2(&corpus.corpus, Scale::Tiny, 5, 0, false);
     // Cumulative percentages must be monotone within a row.
     for table in [&t2.median, &t2.p99, &t2.max] {
         for row in &table.rows {
@@ -146,7 +119,7 @@ fn experiments_fig2_trends_are_negative_where_expected() {
     use ksa_core::analysis::surface_trends;
     use ksa_core::kernel::Category;
     let corpus = experiments::default_corpus(Scale::Tiny);
-    let f2 = experiments::fig2(&corpus.corpus, Scale::Tiny, 5);
+    let (f2, _) = experiments::fig2(&corpus.corpus, Scale::Tiny, 5, 0, false);
     let trends = surface_trends(&f2);
     // Filesystem and permissions: the paper's two reliable responders.
     for want in [Category::Filesystem, Category::Permissions] {

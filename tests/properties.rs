@@ -201,22 +201,17 @@ fn net_trial_replays_bit_identically() {
     use ksa_core::varbench::{run, RunConfig};
     let corpus = net_corpus(Scale::Tiny);
     for seed in [3u64, 0x77, 0xdead_beef] {
-        let cfg = RunConfig {
-            env: EnvSpec::new(
+        let cfg = RunConfig::new(
+            EnvSpec::new(
                 Machine {
                     cores: 4,
                     mem_mib: 2 * 1024,
                 },
                 EnvKind::Vm(2),
             ),
-            iterations: 3,
-            sync: true,
+            3,
             seed,
-            max_events: 0,
-            trace: false,
-            metrics: false,
-            spec: None,
-        };
+        );
         let a = run(&cfg, &corpus).expect("net trial failed");
         let b = run(&cfg, &corpus).expect("net replay failed");
         assert_eq!(a.sim_ns, b.sim_ns, "seed {seed:#x}: clocks differ");
@@ -345,14 +340,8 @@ fn tracing_has_zero_observer_effect() {
         (13, EnvKind::Container(2)),
     ] {
         let cfg = |trace| RunConfig {
-            env: EnvSpec::new(machine, kind),
-            iterations: 2,
-            sync: true,
-            seed,
-            max_events: 0,
             trace,
-            metrics: false,
-            spec: None,
+            ..RunConfig::new(EnvSpec::new(machine, kind), 2, seed)
         };
         let off = run(&cfg(false), &corpus).expect("untraced run failed");
         let on = run(&cfg(true), &corpus).expect("traced run failed");
@@ -387,20 +376,18 @@ fn traced_runs_replay_bit_identically() {
     let corpus = net_corpus(Scale::Tiny);
     for seed in [5u64, 0xfeed] {
         let cfg = RunConfig {
-            env: EnvSpec::new(
-                Machine {
-                    cores: 4,
-                    mem_mib: 2 * 1024,
-                },
-                EnvKind::Vm(2),
-            ),
-            iterations: 2,
-            sync: true,
-            seed,
-            max_events: 0,
             trace: true,
-            metrics: false,
-            spec: None,
+            ..RunConfig::new(
+                EnvSpec::new(
+                    Machine {
+                        cores: 4,
+                        mem_mib: 2 * 1024,
+                    },
+                    EnvKind::Vm(2),
+                ),
+                2,
+                seed,
+            )
         };
         let a = run(&cfg, &corpus).expect("traced run failed");
         let b = run(&cfg, &corpus).expect("traced replay failed");
@@ -425,22 +412,17 @@ fn attribution_components_sum_exactly() {
     let corpus = net_corpus(Scale::Tiny);
     for (seed, kind) in [(21u64, EnvKind::Native), (22, EnvKind::Vm(4))] {
         let res = run(
-            &RunConfig {
-                env: EnvSpec::new(
+            &RunConfig::new(
+                EnvSpec::new(
                     Machine {
                         cores: 4,
                         mem_mib: 2 * 1024,
                     },
                     kind,
                 ),
-                iterations: 2,
-                sync: true,
+                2,
                 seed,
-                max_events: 0,
-                trace: false,
-                metrics: false,
-                spec: None,
-            },
+            ),
             &corpus,
         )
         .expect("attribution run failed");
@@ -527,7 +509,7 @@ fn parallel_runner_matches_sequential_bit_identically() {
     use ksa_core::desim::{FaultKind, FaultPlan, FaultSchedule};
     use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
     use ksa_core::experiments::{net_corpus, Scale};
-    use ksa_core::varbench::{run_configs_hooked, RunConfig};
+    use ksa_core::varbench::{run_campaign, RunConfig};
     let corpus = net_corpus(Scale::Tiny);
     let machine = Machine {
         cores: 4,
@@ -543,14 +525,12 @@ fn parallel_runner_matches_sequential_bit_identically() {
             for trace in [false, true] {
                 for fault in [false, true] {
                     configs.push(RunConfig {
-                        env: EnvSpec::new(machine, kind),
-                        iterations: 2,
-                        sync: true,
-                        seed: seed ^ (configs.len() as u64) << 8,
-                        max_events: 0,
                         trace,
-                        metrics: false,
-                        spec: None,
+                        ..RunConfig::new(
+                            EnvSpec::new(machine, kind),
+                            2,
+                            seed ^ (configs.len() as u64) << 8,
+                        )
                     });
                     faulted.push(fault);
                 }
@@ -576,9 +556,15 @@ fn parallel_runner_matches_sequential_bit_identically() {
             }
         };
 
-    let seq = run_configs_hooked(&configs, &corpus, 1, &hook);
+    let results = |jobs| -> Vec<_> {
+        run_campaign(&configs, &corpus, jobs, 0, &hook)
+            .into_iter()
+            .map(|o| o.result)
+            .collect()
+    };
+    let seq = results(1);
     for jobs in [4usize, 0] {
-        let par = run_configs_hooked(&configs, &corpus, jobs, &hook);
+        let par = results(jobs);
         assert_eq!(seq.len(), par.len());
         for (i, (s, p)) in seq.iter().zip(par.iter()).enumerate() {
             let (s, p) = match (s, p) {
@@ -654,14 +640,8 @@ fn full_allowlist_specialization_is_bit_identical() {
         for seed in [41u64, 0xcafe] {
             for kind in [EnvKind::Native, EnvKind::Vm(2), EnvKind::Container(4)] {
                 configs.push(RunConfig {
-                    env: EnvSpec::new(machine, kind),
-                    iterations: 2,
-                    sync: true,
-                    seed,
-                    max_events: 0,
-                    trace: false,
-                    metrics: false,
                     spec,
+                    ..RunConfig::new(EnvSpec::new(machine, kind), 2, seed)
                 });
             }
         }
@@ -911,20 +891,19 @@ fn dispatch_order_never_reaches_results() {
         .flat_map(|app| {
             [(true, false), (false, false), (true, true), (false, true)].map(|(virt, noise)| {
                 let cfg = SingleNodeConfig {
-                    machine: Machine {
-                        cores: 8,
-                        mem_mib: 8 * 1024,
-                    },
-                    groups: 4,
-                    virt,
-                    noise,
                     requests,
                     warmup: (requests / 10) as usize,
-                    util_pct: 75,
-                    seed: 0xf163,
-                    trace: false,
-                    metrics: false,
-                    spec: None,
+                    ..SingleNodeConfig::new(
+                        Machine {
+                            cores: 8,
+                            mem_mib: 8 * 1024,
+                        },
+                        4,
+                        virt,
+                        noise,
+                        75,
+                        0xf163,
+                    )
                 };
                 (app.clone(), cfg)
             })
@@ -1097,16 +1076,7 @@ fn engine_slab_reuse_is_bit_identical() {
         .flat_map(|seed| {
             [EnvKind::Native, EnvKind::Vm(2), EnvKind::Container(4)]
                 .into_iter()
-                .map(move |kind| RunConfig {
-                    env: EnvSpec::new(machine, kind),
-                    iterations: 2,
-                    sync: true,
-                    seed,
-                    max_events: 0,
-                    trace: false,
-                    metrics: false,
-                    spec: None,
-                })
+                .map(move |kind| RunConfig::new(EnvSpec::new(machine, kind), 2, seed))
         })
         .collect();
     let baseline = digest(&run_configs_jobs(&configs, &corpus, 1));
