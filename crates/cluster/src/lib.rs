@@ -23,7 +23,6 @@ use ksa_tailbench::apps::AppProfile;
 use ksa_tailbench::single_node::{run_node_batched, SingleNodeConfig};
 
 pub mod fabric;
-pub mod serde;
 
 pub use fabric::{run_cluster_faulted, FabricConfig, FabricReport};
 

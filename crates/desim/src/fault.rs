@@ -152,13 +152,8 @@ impl FaultPlan {
 
     /// Sets the schedule for one site (builder style).
     pub fn site(mut self, kind: FaultKind, site: impl Into<String>, sched: FaultSchedule) -> Self {
-        self.set_site(kind, site, sched);
-        self
-    }
-
-    /// Sets the schedule for one site.
-    pub fn set_site(&mut self, kind: FaultKind, site: impl Into<String>, sched: FaultSchedule) {
         self.sites[kind.index()].insert(site.into(), sched);
+        self
     }
 
     /// Sets the default schedule for every site of `kind` (builder style).
@@ -181,15 +176,6 @@ impl FaultPlan {
             .find(|(k, _)| *k == kind)
             .map(|(_, s)| s.0)
             .unwrap_or(FaultSchedule::Never)
-    }
-
-    /// Iterates the explicitly scheduled sites.
-    pub fn scheduled_sites(&self) -> impl Iterator<Item = (FaultKind, &str, FaultSchedule)> {
-        FaultKind::ALL.into_iter().flat_map(move |k| {
-            self.sites[k.index()]
-                .iter()
-                .map(move |(s, sched)| (k, s.as_str(), *sched))
-        })
     }
 }
 
@@ -238,11 +224,6 @@ impl FaultState {
     pub fn rearm(&mut self) {
         self.hits.iter_mut().for_each(|m| m.clear());
         self.injected.clear();
-    }
-
-    /// The governing plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Registers one hit of `(kind, site)` and decides whether this hit
@@ -330,11 +311,6 @@ impl NodeCrash {
     /// True when the node is down at `t`.
     pub fn covers(&self, t: Ns) -> bool {
         t >= self.at && (self.down_for == 0 || t < self.at + self.down_for)
-    }
-
-    /// The reboot instant, if the node ever returns.
-    pub fn reboot_at(&self) -> Option<Ns> {
-        (self.down_for > 0).then(|| self.at + self.down_for)
     }
 }
 

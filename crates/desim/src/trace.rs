@@ -394,7 +394,10 @@ impl TraceRing {
     pub fn new(cap: usize) -> Self {
         Self {
             cap,
-            buf: std::collections::VecDeque::with_capacity(cap.min(4096)),
+            // Grow on demand: most rings (every node of a healthy cluster
+            // run, say) are dropped without a single push, so an eager
+            // reservation would be allocation spent for nothing.
+            buf: std::collections::VecDeque::new(),
             dropped: 0,
         }
     }
@@ -489,6 +492,15 @@ mod tests {
         assert_eq!(r.dropped, 2);
         let kept: Vec<Ns> = r.events().map(|e| e.t).collect();
         assert_eq!(kept, vec![2, 3, 4], "oldest events evicted first");
+    }
+
+    #[test]
+    fn ring_allocates_on_first_push() {
+        let mut r = TraceRing::new(4096);
+        assert_eq!(r.buf.capacity(), 0, "a new ring reserves nothing");
+        r.push(ev(0));
+        assert!(r.buf.capacity() > 0);
+        assert_eq!(r.len(), 1);
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! # ksa-json — minimal JSON for corpus and result persistence
+//! # ksa-json — minimal JSON for reports and benchmark records
 //!
-//! The workspace needs JSON in exactly three places: sharing a generated
-//! corpus across environments, round-tripping programs in tests, and the
-//! harness's partial-result persistence. None of that needs derive
-//! machinery — a small tree model ([`Value`]), a recursive-descent parser
+//! The workspace writes JSON for its observability exports — the
+//! telemetry time series and speedscope profiles (`ksa-telemetry`), the
+//! Chrome trace and attribution report (`ksa-varbench`) — and for the
+//! `suite` binary's report, history and baseline files; it parses the
+//! baseline back when gating a run. None of that needs derive machinery
+//! — a small tree model ([`Value`]), a recursive-descent parser
 //! ([`parse`]) and a compact writer ([`Value::render`]) cover it without
-//! external dependencies (the build environment has no registry access).
+//! external dependencies. Corpora, fault plans and specialization
+//! profiles are never persisted: every experiment regenerates them from
+//! its seed.
 //!
 //! Numbers are kept as `f64` plus a lossless `u64` fast path: simulation
 //! identifiers (seeds, block ids) exceed 2^53, so integers that fit in
@@ -112,21 +116,6 @@ impl Value {
             Value::Float(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => Ok(f as u64),
             _ => Err(Error::shape(format!("expected u64, got {self:?}"))),
         }
-    }
-
-    /// The value as `i64`.
-    pub fn as_i64(&self) -> Result<i64, Error> {
-        match *self {
-            Value::Int(i) => Ok(i),
-            Value::UInt(u) if u <= i64::MAX as u64 => Ok(u as i64),
-            Value::Float(f) if f.fract() == 0.0 && f.abs() <= i64::MAX as f64 => Ok(f as i64),
-            _ => Err(Error::shape(format!("expected i64, got {self:?}"))),
-        }
-    }
-
-    /// The value as `usize`.
-    pub fn as_usize(&self) -> Result<usize, Error> {
-        Ok(self.as_u64()? as usize)
     }
 
     /// The value as `f64` (integers widen).

@@ -235,12 +235,7 @@ impl AttributionTable {
         let entry = &mut self.sysno[no.index()];
         entry.0 += 1;
         entry.1.add(&attrib);
-        let cat = no
-            .categories()
-            .first()
-            .copied()
-            .unwrap_or(Category::ProcessSched);
-        let centry = &mut self.category[cat.index()];
+        let centry = &mut self.category[no.primary_category().index()];
         centry.0 += 1;
         centry.1.add(&attrib);
         after.for_each_lock_wait_since(before, |label, ns| {

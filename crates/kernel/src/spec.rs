@@ -18,7 +18,7 @@
 //! dispatch are bit-identical to a build without specialization, which
 //! the property suite gates on.
 //!
-//! Profile *derivation* (corpus coverage → mask) and serde live in the
+//! Profile *derivation* (corpus coverage → mask) lives in the
 //! `ksa-spec` crate; this module only carries what the kernel itself
 //! needs, keeping the dependency direction kernel ← spec.
 

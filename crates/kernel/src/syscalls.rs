@@ -84,8 +84,7 @@ pub enum SysNo {
     Setgroups,
     Prctl,
 
-    // (g) networking — appended after the first six categories so
-    // corpus JSON indices of older calls stay stable.
+    // (g) networking
     Socket,
     Bind,
     Listen,
@@ -338,7 +337,10 @@ impl SysNo {
         }
     }
 
-    /// The primary category (first listed).
+    /// The primary category (first listed): the one category a call's
+    /// latency is filed under by both
+    /// [`AttributionTable`](crate::latency::AttributionTable) and
+    /// [`KernelTelemetry`](crate::telemetry::KernelTelemetry).
     pub fn primary_category(self) -> Category {
         self.categories()[0]
     }

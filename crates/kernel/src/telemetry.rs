@@ -150,16 +150,6 @@ impl KernelTelemetry {
         std::mem::take(&mut self.reg)
     }
 
-    /// The primary category of a syscall — the exact rule
-    /// [`AttributionTable::record`](crate::latency::AttributionTable::record)
-    /// uses, so telemetry sums match the table.
-    pub fn primary_category(no: SysNo) -> Category {
-        no.categories()
-            .first()
-            .copied()
-            .unwrap_or(Category::ProcessSched)
-    }
-
     /// Records one completed syscall's attribution under its primary
     /// category.
     #[inline]
@@ -167,7 +157,7 @@ impl KernelTelemetry {
         if !self.reg.enabled() {
             return;
         }
-        let ids = self.cats[Self::primary_category(no).index()];
+        let ids = self.cats[no.primary_category().index()];
         self.reg.add(ids.calls, 1);
         self.reg.add(ids.total_ns, attrib.total);
         self.reg.observe(ids.latency, attrib.total);
@@ -275,7 +265,7 @@ mod tests {
         };
         t.observe_call(SysNo::Getpid, &a);
         t.observe_call(SysNo::Getpid, &a);
-        let cat = KernelTelemetry::primary_category(SysNo::Getpid).name();
+        let cat = SysNo::Getpid.primary_category().name();
         let label = [("category", cat)];
         assert_eq!(t.registry().value_of("syscall_calls", &label), Some(2));
         assert_eq!(t.registry().value_of("syscall_ns", &label), Some(1_400));

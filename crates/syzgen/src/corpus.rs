@@ -1,6 +1,5 @@
 //! The coverage-guided corpus construction loop (Syzkaller's triage).
 
-use ksa_json::Value;
 use ksa_kernel::coverage::CoverageSet;
 use ksa_kernel::prog::Corpus;
 use ksa_kernel::Program;
@@ -60,97 +59,6 @@ pub struct GeneratedCorpus {
     pub config: GenConfig,
     /// Loop statistics.
     pub stats: GenStats,
-}
-
-impl GenConfig {
-    fn to_value(self) -> Value {
-        Value::object([
-            ("seed", Value::from(self.seed)),
-            ("max_programs", Value::from(self.max_programs)),
-            ("stall_limit", Value::from(self.stall_limit)),
-            ("mutate_pct", Value::from(self.mutate_pct)),
-            ("minimize", Value::from(self.minimize)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, ksa_json::Error> {
-        Ok(Self {
-            seed: v.get("seed")?.as_u64()?,
-            max_programs: v.get("max_programs")?.as_usize()?,
-            stall_limit: v.get("stall_limit")?.as_usize()?,
-            mutate_pct: v.get("mutate_pct")?.as_u64()? as u32,
-            minimize: v.get("minimize")?.as_bool()?,
-        })
-    }
-}
-
-impl GenStats {
-    fn to_value(self) -> Value {
-        Value::object([
-            ("executed", Value::from(self.executed)),
-            ("accepted", Value::from(self.accepted)),
-            ("minimized_away", Value::from(self.minimized_away)),
-            ("blocks", Value::from(self.blocks)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, ksa_json::Error> {
-        Ok(Self {
-            executed: v.get("executed")?.as_usize()?,
-            accepted: v.get("accepted")?.as_usize()?,
-            minimized_away: v.get("minimized_away")?.as_usize()?,
-            blocks: v.get("blocks")?.as_usize()?,
-        })
-    }
-}
-
-/// Corpus JSON schema version. Version 2 added the networking syscalls
-/// (socket..epoll_wait), which extended the `SysNo` index space; corpora
-/// written before the version key existed cannot be decoded safely
-/// because program call indices are only meaningful per schema.
-pub const CORPUS_SCHEMA_VERSION: u64 = 2;
-
-impl GeneratedCorpus {
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> String {
-        Value::object([
-            ("version", Value::UInt(CORPUS_SCHEMA_VERSION)),
-            ("corpus", self.corpus.to_value()),
-            ("config", self.config.to_value()),
-            ("stats", self.stats.to_value()),
-        ])
-        .render()
-    }
-
-    /// Deserializes from JSON. Rejects corpora from other schema
-    /// versions with a structured error instead of misinterpreting (or
-    /// panicking on) stale syscall indices.
-    pub fn from_json(s: &str) -> Result<Self, ksa_json::Error> {
-        let v = ksa_json::parse(s)?;
-        match v.opt("version") {
-            None => {
-                return Err(ksa_json::Error::shape(
-                    "corpus has no schema version (pre-networking corpus); \
-                     regenerate it with this build",
-                ));
-            }
-            Some(ver) => {
-                let ver = ver.as_u64()?;
-                if ver != CORPUS_SCHEMA_VERSION {
-                    return Err(ksa_json::Error::shape(format!(
-                        "corpus schema version {ver} unsupported \
-                         (this build reads version {CORPUS_SCHEMA_VERSION}); \
-                         regenerate the corpus"
-                    )));
-                }
-            }
-        }
-        Ok(Self {
-            corpus: Corpus::from_value(v.get("corpus")?)?,
-            config: GenConfig::from_value(v.get("config")?)?,
-            stats: GenStats::from_value(v.get("stats")?)?,
-        })
-    }
 }
 
 /// Runs the coverage-guided loop and returns the corpus.
@@ -294,58 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let out = generate(small_cfg(4));
-        let json = out.to_json();
-        let back = GeneratedCorpus::from_json(&json).unwrap();
-        assert_eq!(back.corpus.programs, out.corpus.programs);
-        assert_eq!(back.stats.blocks, out.stats.blocks);
-    }
-
-    #[test]
     fn determinism() {
         let a = generate(small_cfg(5));
         let b = generate(small_cfg(5));
         assert_eq!(a.corpus.programs, b.corpus.programs);
-    }
-
-    #[test]
-    fn json_carries_schema_version() {
-        let out = generate(small_cfg(6));
-        let v = ksa_json::parse(&out.to_json()).unwrap();
-        assert_eq!(
-            v.get("version").unwrap().as_u64().unwrap(),
-            CORPUS_SCHEMA_VERSION
-        );
-    }
-
-    #[test]
-    fn unversioned_corpus_is_rejected_with_clear_error() {
-        // A pre-networking corpus: structurally valid, but no version key.
-        let out = generate(small_cfg(7));
-        let old = Value::object([
-            ("corpus", out.corpus.to_value()),
-            ("config", out.config.to_value()),
-            ("stats", out.stats.to_value()),
-        ])
-        .render();
-        let err = GeneratedCorpus::from_json(&old).unwrap_err();
-        let msg = format!("{err}");
-        assert!(
-            msg.contains("pre-networking") && msg.contains("regenerate"),
-            "error should explain the failure: {msg}"
-        );
-    }
-
-    #[test]
-    fn future_corpus_version_is_rejected() {
-        let out = generate(small_cfg(8));
-        let json = out.to_json().replace(
-            &format!("\"version\":{CORPUS_SCHEMA_VERSION}"),
-            "\"version\":99",
-        );
-        let err = GeneratedCorpus::from_json(&json).unwrap_err();
-        let msg = format!("{err}");
-        assert!(msg.contains("99"), "mentions the offending version: {msg}");
     }
 }

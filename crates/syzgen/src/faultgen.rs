@@ -15,7 +15,6 @@
 //! the phase is deterministic for a given seed and base corpus.
 
 use ksa_desim::{FaultKind, FaultPlan, FaultSchedule};
-use ksa_json::Value;
 use ksa_kernel::coverage::CoverageSet;
 use ksa_kernel::prog::Corpus;
 
@@ -143,125 +142,6 @@ pub fn fault_phase(base: &Corpus, cfg: FaultGenConfig) -> FaultCorpus {
     FaultCorpus { entries, stats }
 }
 
-// ------------------------------------------------------------ serialization
-
-fn kind_to_str(k: FaultKind) -> &'static str {
-    k.name()
-}
-
-fn kind_from_str(s: &str) -> Result<FaultKind, ksa_json::Error> {
-    FaultKind::ALL
-        .into_iter()
-        .find(|k| k.name() == s)
-        .ok_or_else(|| ksa_json::Error::shape("unknown fault kind"))
-}
-
-fn sched_to_value(s: FaultSchedule) -> Value {
-    match s {
-        FaultSchedule::Never => Value::object([("kind", Value::from("never"))]),
-        FaultSchedule::Nth(n) => {
-            Value::object([("kind", Value::from("nth")), ("n", Value::from(n))])
-        }
-        FaultSchedule::EveryNth(n) => {
-            Value::object([("kind", Value::from("every_nth")), ("n", Value::from(n))])
-        }
-        FaultSchedule::ProbMilli(m) => Value::object([
-            ("kind", Value::from("prob_milli")),
-            ("n", Value::from(m as u64)),
-        ]),
-    }
-}
-
-fn sched_from_value(v: &Value) -> Result<FaultSchedule, ksa_json::Error> {
-    let kind = v.get("kind")?.as_str()?;
-    Ok(match kind {
-        "never" => FaultSchedule::Never,
-        "nth" => FaultSchedule::Nth(v.get("n")?.as_u64()?),
-        "every_nth" => FaultSchedule::EveryNth(v.get("n")?.as_u64()?),
-        "prob_milli" => FaultSchedule::ProbMilli(v.get("n")?.as_u64()? as u32),
-        _ => return Err(ksa_json::Error::shape("unknown schedule kind")),
-    })
-}
-
-/// Serializes a plan (seed plus explicitly scheduled sites; kind defaults
-/// are not used by the fault phase).
-pub fn plan_to_value(p: &FaultPlan) -> Value {
-    let mut sites: Vec<(FaultKind, &str, FaultSchedule)> = p.scheduled_sites().collect();
-    sites.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-    let sites = Value::array(sites.into_iter().map(|(k, s, sched)| {
-        Value::object([
-            ("fault", Value::from(kind_to_str(k))),
-            ("site", Value::from(s)),
-            ("sched", sched_to_value(sched)),
-        ])
-    }));
-    Value::object([("seed", Value::from(p.seed)), ("sites", sites)])
-}
-
-/// Deserializes a plan written by [`plan_to_value`].
-pub fn plan_from_value(v: &Value) -> Result<FaultPlan, ksa_json::Error> {
-    let mut plan = FaultPlan::new(v.get("seed")?.as_u64()?);
-    for site in v.get("sites")?.as_array()? {
-        plan.set_site(
-            kind_from_str(site.get("fault")?.as_str()?)?,
-            site.get("site")?.as_str()?.to_string(),
-            sched_from_value(site.get("sched")?)?,
-        );
-    }
-    Ok(plan)
-}
-
-impl FaultCorpus {
-    /// Serializes to JSON (the base corpus is stored separately).
-    pub fn to_json(&self) -> String {
-        Value::object([
-            (
-                "entries",
-                Value::array(self.entries.iter().map(|e| {
-                    Value::object([
-                        ("prog", Value::from(e.prog)),
-                        ("plan", plan_to_value(&e.plan)),
-                    ])
-                })),
-            ),
-            (
-                "stats",
-                Value::object([
-                    ("executed", Value::from(self.stats.executed)),
-                    ("accepted", Value::from(self.stats.accepted)),
-                    ("sites_probed", Value::from(self.stats.sites_probed)),
-                    ("error_blocks", Value::from(self.stats.error_blocks)),
-                    ("new_blocks", Value::from(self.stats.new_blocks)),
-                ]),
-            ),
-        ])
-        .render()
-    }
-
-    /// Deserializes from JSON.
-    pub fn from_json(s: &str) -> Result<Self, ksa_json::Error> {
-        let v = ksa_json::parse(s)?;
-        let mut entries = Vec::new();
-        for e in v.get("entries")?.as_array()? {
-            entries.push(FaultEntry {
-                prog: e.get("prog")?.as_usize()?,
-                plan: plan_from_value(e.get("plan")?)?,
-            });
-        }
-        let st = v.get("stats")?;
-        Ok(Self {
-            entries,
-            stats: FaultGenStats {
-                executed: st.get("executed")?.as_usize()?,
-                accepted: st.get("accepted")?.as_usize()?,
-                sites_probed: st.get("sites_probed")?.as_usize()?,
-                error_blocks: st.get("error_blocks")?.as_usize()?,
-                new_blocks: st.get("new_blocks")?.as_usize()?,
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,15 +204,5 @@ mod tests {
         let b = fault_phase(&base, FaultGenConfig::default());
         assert_eq!(a.entries, b.entries);
         assert_eq!(a.stats.error_blocks, b.stats.error_blocks);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let base = base();
-        let out = fault_phase(&base, FaultGenConfig::default());
-        let json = out.to_json();
-        let back = FaultCorpus::from_json(&json).unwrap();
-        assert_eq!(back.entries, out.entries);
-        assert_eq!(back.stats.error_blocks, out.stats.error_blocks);
     }
 }

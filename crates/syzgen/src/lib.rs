@@ -25,9 +25,9 @@
 //!    [`ksa_desim::FaultPlan`], and keeps the `(program, plan)` pairs
 //!    that reach otherwise-unreachable `err.*` blocks.
 //!
-//! The output ([`GeneratedCorpus`]) serializes with serde so experiments
-//! share one corpus across environments, as the paper shares one corpus
-//! across native/KVM/Docker.
+//! The output ([`GeneratedCorpus`]) is regenerated from its seed by each
+//! experiment, which then shares that one corpus across environments, as
+//! the paper shares one corpus across native/KVM/Docker.
 
 pub mod argspec;
 pub mod corpus;

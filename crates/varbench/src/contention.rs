@@ -43,27 +43,22 @@ impl LockContention {
 /// Per-label contention profile of one run.
 #[derive(Debug, Clone, Default)]
 pub struct ContentionProfile {
-    /// Label → aggregated counters, sorted by label.
-    pub by_label: BTreeMap<String, LockContention>,
+    /// Label → aggregated counters, sorted by label. Lock labels are
+    /// static, so adding a lock never allocates a key.
+    pub by_label: BTreeMap<&'static str, LockContention>,
 }
 
 impl ContentionProfile {
-    /// Adds one lock's acquisition counters under `label` (no durations
-    /// — kept for callers that only have rate data).
-    pub fn add(&mut self, label: &str, acquisitions: u64, contended: u64) {
-        self.add_waits(label, acquisitions, contended, 0, 0);
-    }
-
     /// Adds one lock's counters *and* wait durations under `label`.
     pub fn add_waits(
         &mut self,
-        label: &str,
+        label: &'static str,
         acquisitions: u64,
         contended: u64,
         total_wait_ns: u64,
         max_wait_ns: u64,
     ) {
-        let e = self.by_label.entry(label.to_string()).or_default();
+        let e = self.by_label.entry(label).or_default();
         e.acquisitions += acquisitions;
         e.contended += contended;
         e.total_wait_ns += total_wait_ns;
@@ -78,11 +73,8 @@ impl ContentionProfile {
     /// Labels ordered by total wait time (worst first), falling back to
     /// contended count for profiles without duration data.
     pub fn hotspots(&self) -> Vec<(&str, LockContention)> {
-        let mut v: Vec<(&str, LockContention)> = self
-            .by_label
-            .iter()
-            .map(|(k, &c)| (k.as_str(), c))
-            .collect();
+        let mut v: Vec<(&str, LockContention)> =
+            self.by_label.iter().map(|(&k, &c)| (k, c)).collect();
         v.sort_by_key(|(_, c)| std::cmp::Reverse((c.total_wait_ns, c.contended)));
         v
     }
@@ -114,9 +106,9 @@ mod tests {
     #[test]
     fn add_aggregates_by_label() {
         let mut p = ContentionProfile::default();
-        p.add("journal", 100, 40);
-        p.add("journal", 50, 10);
-        p.add("dcache", 500, 5);
+        p.add_waits("journal", 100, 40, 0, 0);
+        p.add_waits("journal", 50, 10, 0, 0);
+        p.add_waits("dcache", 500, 5, 0, 0);
         let j = p.by_label["journal"];
         assert_eq!(j.acquisitions, 150);
         assert_eq!(j.contended, 50);
@@ -148,9 +140,9 @@ mod tests {
     #[test]
     fn hotspots_without_durations_fall_back_to_contended() {
         let mut p = ContentionProfile::default();
-        p.add("a", 10, 1);
-        p.add("b", 10, 9);
-        p.add("c", 10, 5);
+        p.add_waits("a", 10, 1, 0, 0);
+        p.add_waits("b", 10, 9, 0, 0);
+        p.add_waits("c", 10, 5, 0, 0);
         let hot: Vec<&str> = p.hotspots().iter().map(|(l, _)| *l).collect();
         assert_eq!(hot, vec!["b", "c", "a"]);
     }

@@ -20,8 +20,8 @@ pub mod worker;
 
 pub use contention::{ContentionProfile, LockContention};
 pub use run::{
-    harvest, outcomes_to_json, run, run_campaign, run_configs_jobs, run_hooked, RunConfig,
-    RunError, RunResult, SiteResult, TrialOutcome,
+    harvest, run, run_campaign, run_configs_jobs, run_hooked, RunConfig, RunError, RunResult,
+    SiteResult, TrialOutcome,
 };
 pub use traceout::{attribution_json, chrome_trace_json};
 pub use worker::CorpusWorker;

@@ -452,46 +452,6 @@ where
     outcomes
 }
 
-/// Serializes trial outcomes to JSON — the partial-result record a
-/// campaign persists so completed trials survive later failures. Failed
-/// trials appear with their error strings instead of data.
-pub fn outcomes_to_json(outcomes: &[TrialOutcome]) -> String {
-    use ksa_json::Value;
-    Value::array(outcomes.iter().map(|o| {
-        let mut fields = vec![
-            ("attempts", Value::from(o.attempts)),
-            (
-                "failures",
-                Value::array(o.failures.iter().map(|e| Value::str(e.to_string()))),
-            ),
-        ];
-        match &o.result {
-            Ok(res) => {
-                fields.push(("ok", Value::from(true)));
-                fields.push(("env", Value::str(format!("{:?}", res.config.env))));
-                fields.push(("seed", Value::from(res.config.seed)));
-                fields.push(("sim_ns", Value::from(res.sim_ns)));
-                fields.push(("sites", Value::from(res.sites.len())));
-                fields.push((
-                    "samples",
-                    Value::from(
-                        res.sites
-                            .iter()
-                            .map(|s| s.samples.len() as u64)
-                            .sum::<u64>(),
-                    ),
-                ));
-            }
-            Err(e) => {
-                fields.push(("ok", Value::from(false)));
-                fields.push(("error", Value::str(e.to_string())));
-            }
-        }
-        Value::object(fields)
-    }))
-    .render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,11 +599,28 @@ mod tests {
                     >= (w[1].1.total_wait_ns, w[1].1.contended)
             );
         }
-        // Per-label waits in the attribution table agree with the
-        // engine-level profile in aggregate: both came from the same
-        // grants.
+        // The attribution table's per-label waits sum to its own
+        // lock-wait component.
         let attrib_wait: u64 = res.attrib.lock_wait_by_label.values().sum();
         assert_eq!(attrib_wait, res.attrib.grand_total().lock_wait);
+        assert!(attrib_wait > 0, "bracketed syscalls must wait somewhere");
+        // Both views are fed by the same grant (`Engine::grant` hands one
+        // wait to the lock's lockstat counters and to the waiter's latency
+        // breakdown), but the table only sees waits inside bracketed
+        // syscalls while lockstat also counts daemons. So per label the
+        // table is bounded by the engine-level profile, not equal to it.
+        for (label, &wait) in &res.attrib.lock_wait_by_label {
+            let lockstat = res
+                .contention
+                .by_label
+                .get(label)
+                .unwrap_or_else(|| panic!("{label} waited but has no lockstat entry"));
+            assert!(
+                wait <= lockstat.total_wait_ns,
+                "{label}: table {wait} ns > lockstat {} ns",
+                lockstat.total_wait_ns
+            );
+        }
     }
 
     #[test]
@@ -932,31 +909,6 @@ mod tests {
             seen.sort_unstable();
             assert_eq!(seen, [0, 1, 1, 1], "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn outcomes_json_reports_partial_results() {
-        let corpus = tiny_corpus();
-        let cfgs = [
-            cfg(EnvKind::Native, 2),
-            RunConfig {
-                max_events: 50,
-                ..cfg(EnvKind::Native, 2)
-            },
-        ];
-        let outcomes = run_campaign(&cfgs, &corpus, 0, 1, &no_hook);
-        let json = outcomes_to_json(&outcomes);
-        let v = ksa_json::parse(&json).unwrap();
-        let arr = v.as_array().unwrap();
-        assert_eq!(arr.len(), 2);
-        assert!(arr[0].get("ok").unwrap().as_bool().unwrap());
-        assert!(arr[0].get("samples").unwrap().as_u64().unwrap() > 0);
-        assert!(!arr[1].get("ok").unwrap().as_bool().unwrap());
-        let err = arr[1].get("error").unwrap().as_str().unwrap();
-        assert!(
-            err.contains("stall") || err.contains("livelock") || err.contains("budget"),
-            "error string should describe the stall: {err}"
-        );
     }
 
     #[test]
